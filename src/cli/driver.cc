@@ -10,56 +10,14 @@
 
 #include "bench430/benchmarks.hh"
 #include "cli/parse_util.hh"
+#include "util/json.hh"
 
 namespace ulpeak {
 namespace cli {
 namespace {
 
-std::string
-fmtDouble(double d)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "%.17g", d);
-    return buf;
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        case '\r': out += "\\r"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-std::string
-csvQuote(const std::string &s)
-{
-    std::string out = "\"";
-    for (char c : s) {
-        if (c == '"')
-            out += '"';
-        out += c;
-    }
-    out += '"';
-    return out;
-}
+using util::csvQuote;
+using util::jsonEscape;
 
 bool
 looksLikePath(const std::string &spec)
@@ -84,32 +42,38 @@ pathStem(const std::string &path)
     return dot == std::string::npos ? base : base.substr(0, dot);
 }
 
-/** "envelope": {...} JSON object (no surrounding key). */
-std::string
-envelopeJson(const ulpeak::peak::Envelope &env)
+/** Append the "envelope": {...} JSON object (no surrounding key). */
+void
+envelopeJson(util::Writer &o, const ulpeak::peak::Envelope &env)
 {
-    std::ostringstream o;
     o << "{\"cycles\": " << env.powerW.size()
-      << ", \"peak_power_w\": " << fmtDouble(env.peakPowerW())
-      << ", \"windows\": [";
+      << ", \"peak_power_w\": " << env.peakPowerW() << ", \"windows\": [";
     for (size_t w = 0; w < env.windows.size(); ++w)
         o << (w ? ", " : "") << env.windows[w];
     o << "], \"peak_window_energy_j\": [";
     for (size_t w = 0; w < env.peakWindowEnergyJ.size(); ++w)
-        o << (w ? ", " : "") << fmtDouble(env.peakWindowEnergyJ[w]);
+        o << (w ? ", " : "") << env.peakWindowEnergyJ[w];
     o << "], \"power_w\": [";
     for (size_t c = 0; c < env.powerW.size(); ++c)
-        o << (c ? ", " : "") << fmtDouble(double(env.powerW[c]));
+        o << (c ? ", " : "") << double(env.powerW[c]);
     o << "], \"window_energy_j\": [";
     for (size_t w = 0; w < env.windowEnergyJ.size(); ++w) {
         o << (w ? ", [" : "[");
         for (size_t c = 0; c < env.windowEnergyJ[w].size(); ++c)
-            o << (c ? ", " : "")
-              << fmtDouble(double(env.windowEnergyJ[w][c]));
+            o << (c ? ", " : "") << double(env.windowEnergyJ[w][c]);
         o << "]";
     }
     o << "]}";
-    return o.str();
+}
+
+/** Upper bound on the bytes envelopeJson spends on @p env's per-cycle
+ *  numbers (each at most 24 characters plus a separator): toJson
+ *  reserves it up front so the multi-megabyte document is not copied
+ *  while it grows. */
+size_t
+envelopeBytes(const peak::Envelope &env)
+{
+    return 26 * env.powerW.size() * (1 + env.windowEnergyJ.size());
 }
 
 /** Shared whole-token integer parsing (cli/parse_util.hh): rejects
@@ -436,12 +400,16 @@ std::string
 toJson(const peak::BatchReport &rep, const peak::BatchOptions &opts,
        bool include_timings)
 {
-    std::ostringstream o;
+    util::Writer o;
+    size_t reserve = 4096 + 1024 * rep.programs.size() +
+                     envelopeBytes(rep.suiteEnvelope);
+    for (const peak::ProgramResult &r : rep.programs)
+        reserve += envelopeBytes(r.envelope);
+    o.reserve(reserve);
     o << "{\n";
     o << "  \"tool\": \"ulpeak\",\n  \"format_version\": 3,\n";
     o << "  \"options\": {\n"
-      << "    \"freq_hz\": " << fmtDouble(opts.analysis.freqHz)
-      << ",\n"
+      << "    \"freq_hz\": " << opts.analysis.freqHz << ",\n"
       << "    \"eval_mode\": \""
       << (opts.analysis.evalMode == EvalMode::EventDriven ? "event"
                                                           : "full")
@@ -458,7 +426,7 @@ toJson(const peak::BatchReport &rep, const peak::BatchOptions &opts,
           << (opts.cacheDir.empty() ? "false" : "true") << ",\n"
           << "    \"cache_hits\": " << rep.cacheHits << ",\n"
           << "    \"cache_misses\": " << rep.cacheMisses << ",\n"
-          << "    \"wall_seconds\": " << fmtDouble(rep.wallSeconds)
+          << "    \"wall_seconds\": " << rep.wallSeconds
           << "\n  },\n";
     }
     o << "  \"programs\": [\n";
@@ -469,15 +437,17 @@ toJson(const peak::BatchReport &rep, const peak::BatchOptions &opts,
           << "\"ok\": " << (r.ok ? "true" : "false");
         if (!r.ok)
             o << ", \"error\": \"" << jsonEscape(r.error) << "\"";
-        o << ", \"peak_power_w\": " << fmtDouble(r.peakPowerW)
-          << ", \"peak_energy_j\": " << fmtDouble(r.peakEnergyJ)
-          << ", \"npe_j_per_cycle\": " << fmtDouble(r.npeJPerCycle)
+        o << ", \"peak_power_w\": " << r.peakPowerW
+          << ", \"peak_energy_j\": " << r.peakEnergyJ
+          << ", \"npe_j_per_cycle\": " << r.npeJPerCycle
           << ", \"max_path_cycles\": " << r.maxPathCycles
           << ", \"total_cycles\": " << r.totalCycles
           << ", \"paths_explored\": " << r.pathsExplored
           << ", \"dedup_merges\": " << r.dedupMerges;
-        if (r.envelope.present)
-            o << ", \"envelope\": " << envelopeJson(r.envelope);
+        if (r.envelope.present) {
+            o << ", \"envelope\": ";
+            envelopeJson(o, r.envelope);
+        }
         if (include_timings) {
             // Run-provenance statistics live with the timing fields:
             // steals and the per-worker split are
@@ -485,10 +455,9 @@ toJson(const peak::BatchReport &rep, const peak::BatchOptions &opts,
             // cache hits, so they would break the byte-identity
             // contract anywhere else.
             o << ", \"cached\": " << (r.cached ? "true" : "false")
-              << ", \"wall_seconds\": " << fmtDouble(r.wallSeconds)
+              << ", \"wall_seconds\": " << r.wallSeconds
               << ", \"stats\": {\"steals\": " << r.steals
-              << ", \"snapshot_bytes_copied\": "
-              << r.snapshotBytesCopied
+              << ", \"snapshot_bytes_copied\": " << r.snapshotBytesCopied
               << ", \"snapshot_bytes_full\": " << r.snapshotBytesFull
               << ", \"packed_batches\": " << r.packedBatches
               << ", \"packed_sweeps\": " << r.packedSweeps
@@ -508,16 +477,14 @@ toJson(const peak::BatchReport &rep, const peak::BatchOptions &opts,
         o << "    {\"name\": \"" << jsonEscape(sum.scenario)
           << "\", \"summary\": \"" << jsonEscape(sum.summary)
           << "\", \"ok\": " << (sum.ok ? "true" : "false")
-          << ", \"max_peak_power_w\": "
-          << fmtDouble(sum.maxPeakPowerW)
+          << ", \"max_peak_power_w\": " << sum.maxPeakPowerW
           << ", \"max_peak_power_program\": \""
           << jsonEscape(sum.maxPeakPowerProgram)
-          << "\", \"max_peak_energy_j\": "
-          << fmtDouble(sum.maxPeakEnergyJ)
+          << "\", \"max_peak_energy_j\": " << sum.maxPeakEnergyJ
           << ", \"max_peak_energy_program\": \""
           << jsonEscape(sum.maxPeakEnergyProgram)
           << "\", \"max_npe_j_per_cycle\": "
-          << fmtDouble(sum.maxNpeJPerCycle) << ", \"max_npe_program\": \""
+          << sum.maxNpeJPerCycle << ", \"max_npe_program\": \""
           << jsonEscape(sum.maxNpeProgram) << "\"";
         // How much this scenario's constraints tighten the suite
         // bounds relative to the first listed scenario (1.0 = no
@@ -525,16 +492,13 @@ toJson(const peak::BatchReport &rep, const peak::BatchOptions &opts,
         if (s > 0 && first.maxPeakPowerW > 0 &&
             first.maxPeakEnergyJ > 0)
             o << ", \"vs_first\": {\"peak_power\": "
-              << fmtDouble(sum.maxPeakPowerW / first.maxPeakPowerW)
+              << sum.maxPeakPowerW / first.maxPeakPowerW
               << ", \"peak_energy\": "
-              << fmtDouble(sum.maxPeakEnergyJ / first.maxPeakEnergyJ)
-              << "}";
+              << sum.maxPeakEnergyJ / first.maxPeakEnergyJ << "}";
         if (sum.suiteEnvelope.present) {
             const sizing::EnvelopeSupply &es = sum.envelopeSupply;
-            o << ", \"envelope_sizing\": {\"peak_power_w\": "
-              << fmtDouble(es.peakPowerW)
-              << ", \"sustained_power_w\": "
-              << fmtDouble(es.sustainedPowerW) << "}";
+            o << ", \"envelope_sizing\": {\"peak_power_w\": " << es.peakPowerW
+              << ", \"sustained_power_w\": " << es.sustainedPowerW << "}";
         }
         o << "}" << (s + 1 < rep.scenarios.size() ? "," : "") << "\n";
     }
@@ -542,94 +506,87 @@ toJson(const peak::BatchReport &rep, const peak::BatchOptions &opts,
     o << "  \"suite\": {\n"
       << "    \"programs\": " << rep.programs.size() << ",\n"
       << "    \"ok\": " << (rep.ok ? "true" : "false") << ",\n"
-      << "    \"max_peak_power_w\": " << fmtDouble(rep.maxPeakPowerW)
-      << ",\n"
+      << "    \"max_peak_power_w\": " << rep.maxPeakPowerW << ",\n"
       << "    \"max_peak_power_program\": \""
       << jsonEscape(rep.maxPeakPowerProgram) << "\",\n"
-      << "    \"max_peak_energy_j\": " << fmtDouble(rep.maxPeakEnergyJ)
-      << ",\n"
+      << "    \"max_peak_energy_j\": " << rep.maxPeakEnergyJ << ",\n"
       << "    \"max_peak_energy_program\": \""
       << jsonEscape(rep.maxPeakEnergyProgram) << "\",\n"
-      << "    \"max_npe_j_per_cycle\": "
-      << fmtDouble(rep.maxNpeJPerCycle) << ",\n"
+      << "    \"max_npe_j_per_cycle\": " << rep.maxNpeJPerCycle << ",\n"
       << "    \"max_npe_program\": \"" << jsonEscape(rep.maxNpeProgram)
       << "\"\n  },\n";
     o << "  \"sizing\": {\n"
-      << "    \"peak_power_w\": " << fmtDouble(rep.supply.peakPowerW)
-      << ",\n"
-      << "    \"peak_energy_j\": " << fmtDouble(rep.supply.peakEnergyJ)
+      << "    \"peak_power_w\": " << rep.supply.peakPowerW << ",\n"
+      << "    \"peak_energy_j\": " << rep.supply.peakEnergyJ
       << ",\n    \"harvesters\": [\n";
     for (size_t i = 0; i < rep.supply.harvesters.size(); ++i) {
         const auto &h = rep.supply.harvesters[i];
         o << "      {\"name\": \"" << jsonEscape(h.name)
-          << "\", \"area_cm2\": " << fmtDouble(h.areaCm2) << "}"
+          << "\", \"area_cm2\": " << h.areaCm2 << "}"
           << (i + 1 < rep.supply.harvesters.size() ? "," : "") << "\n";
     }
     o << "    ],\n    \"batteries\": [\n";
     for (size_t i = 0; i < rep.supply.batteries.size(); ++i) {
         const auto &b = rep.supply.batteries[i];
         o << "      {\"name\": \"" << jsonEscape(b.name)
-          << "\", \"volume_l\": " << fmtDouble(b.volumeL)
-          << ", \"mass_g\": " << fmtDouble(b.massG) << "}"
+          << "\", \"volume_l\": " << b.volumeL
+          << ", \"mass_g\": " << b.massG << "}"
           << (i + 1 < rep.supply.batteries.size() ? "," : "") << "\n";
     }
     o << "    ]\n  }";
     if (rep.suiteEnvelope.present) {
-        o << ",\n  \"suite_envelope\": "
-          << envelopeJson(rep.suiteEnvelope) << ",\n";
+        o << ",\n  \"suite_envelope\": ";
+        envelopeJson(o, rep.suiteEnvelope);
+        o << ",\n";
         const sizing::EnvelopeSupply &es = rep.envelopeSupply;
         o << "  \"envelope_sizing\": {\n"
-          << "    \"peak_power_w\": " << fmtDouble(es.peakPowerW)
-          << ",\n"
-          << "    \"sustained_power_w\": "
-          << fmtDouble(es.sustainedPowerW) << ",\n"
+          << "    \"peak_power_w\": " << es.peakPowerW << ",\n"
+          << "    \"sustained_power_w\": " << es.sustainedPowerW << ",\n"
           << "    \"windows\": [";
         for (size_t w = 0; w < es.windows.size(); ++w)
             o << (w ? ", " : "") << es.windows[w];
         o << "],\n    \"peak_window_energy_j\": [";
         for (size_t w = 0; w < es.peakWindowEnergyJ.size(); ++w)
-            o << (w ? ", " : "")
-              << fmtDouble(es.peakWindowEnergyJ[w]);
+            o << (w ? ", " : "") << es.peakWindowEnergyJ[w];
         o << "],\n    \"decap_f\": [";
         for (size_t w = 0; w < es.decapF.size(); ++w)
-            o << (w ? ", " : "") << fmtDouble(es.decapF[w]);
+            o << (w ? ", " : "") << es.decapF[w];
         o << "],\n    \"harvesters\": [\n";
         for (size_t i = 0; i < es.harvesters.size(); ++i) {
             const auto &h = es.harvesters[i];
             o << "      {\"name\": \"" << jsonEscape(h.name)
-              << "\", \"area_cm2\": " << fmtDouble(h.areaCm2) << "}"
+              << "\", \"area_cm2\": " << h.areaCm2 << "}"
               << (i + 1 < es.harvesters.size() ? "," : "") << "\n";
         }
         o << "    ]\n  }";
     }
     o << "\n}\n";
-    return o.str();
+    return o.take();
 }
 
 std::string
 toCsv(const peak::BatchReport &rep)
 {
-    std::ostringstream o;
+    util::Writer o;
     o << "name,scenario,ok,cached,peak_power_w,peak_energy_j,"
          "npe_j_per_cycle,max_path_cycles,total_cycles,"
          "paths_explored,dedup_merges,wall_seconds,error\n";
     for (const peak::ProgramResult &r : rep.programs) {
         o << csvQuote(r.name) << ',' << csvQuote(r.scenario) << ','
-          << (r.ok ? 1 : 0) << ','
-          << (r.cached ? 1 : 0) << ',' << fmtDouble(r.peakPowerW)
-          << ',' << fmtDouble(r.peakEnergyJ) << ','
-          << fmtDouble(r.npeJPerCycle) << ',' << r.maxPathCycles << ','
+          << (r.ok ? 1 : 0) << ',' << (r.cached ? 1 : 0) << ','
+          << r.peakPowerW << ',' << r.peakEnergyJ << ','
+          << r.npeJPerCycle << ',' << r.maxPathCycles << ','
           << r.totalCycles << ',' << r.pathsExplored << ','
-          << r.dedupMerges << ',' << fmtDouble(r.wallSeconds) << ','
+          << r.dedupMerges << ',' << r.wallSeconds << ','
           << csvQuote(r.error) << "\n";
     }
-    return o.str();
+    return o.take();
 }
 
 std::string
 toEnvelopeCsv(const peak::BatchReport &rep)
 {
-    std::ostringstream o;
+    util::Writer o;
     const peak::Envelope *any = nullptr;
     for (const peak::ProgramResult &r : rep.programs)
         if (r.envelope.present) {
@@ -648,11 +605,9 @@ toEnvelopeCsv(const peak::BatchReport &rep)
                      const peak::Envelope &env) {
         for (size_t c = 0; c < env.powerW.size(); ++c) {
             o << csvQuote(name) << ',' << csvQuote(scenario) << ','
-              << c << ',' << fmtDouble(double(env.powerW[c]));
+              << c << ',' << double(env.powerW[c]);
             for (const auto &curve : env.windowEnergyJ)
-                o << ','
-                  << fmtDouble(c < curve.size() ? double(curve[c])
-                                                : 0.0);
+                o << ',' << (c < curve.size() ? double(curve[c]) : 0.0);
             o << "\n";
         }
     };
@@ -662,7 +617,7 @@ toEnvelopeCsv(const peak::BatchReport &rep)
     for (const peak::ScenarioSummary &s : rep.scenarios)
         if (s.suiteEnvelope.present)
             emit("__suite__", s.scenario, s.suiteEnvelope);
-    return o.str();
+    return o.take();
 }
 
 std::vector<peak::ModeReport>
@@ -693,7 +648,7 @@ std::string
 toModesJson(const peak::BatchReport &rep,
             const std::vector<peak::ModeReport> &reports)
 {
-    std::ostringstream o;
+    util::Writer o;
     o << "{\n  \"tool\": \"ulpeak\",\n  \"report\": \"modes\",\n"
       << "  \"rows\": [\n";
     bool firstRow = true;
@@ -706,8 +661,7 @@ toModesJson(const peak::BatchReport &rep,
         firstRow = false;
         o << "    {\"program\": \"" << jsonEscape(r.name)
           << "\", \"scenario\": \"" << jsonEscape(r.scenario)
-          << "\", \"composite_peak_w\": "
-          << fmtDouble(m.compositePeakW)
+          << "\", \"composite_peak_w\": " << m.compositePeakW
           << ", \"envelope_cycles\": " << m.envelopeCycles
           << ", \"all_assertions_pass\": "
           << (m.allAssertionsPass() ? "true" : "false")
@@ -716,13 +670,12 @@ toModesJson(const peak::BatchReport &rep,
             const peak::ModeSlice &s = m.modes[k];
             o << (k ? ", " : "") << "{\"name\": \""
               << jsonEscape(s.name)
-              << "\", \"vdd\": " << fmtDouble(s.vdd)
-              << ", \"freq_hz\": " << fmtDouble(s.freqHz)
+              << "\", \"vdd\": " << s.vdd << ", \"freq_hz\": " << s.freqHz
               << ", \"cycles\": " << s.cycles
-              << ", \"peak_w\": " << fmtDouble(s.peakW)
+              << ", \"peak_w\": " << s.peakW
               << ", \"peak_cycle\": " << s.peakCycle
-              << ", \"avg_w\": " << fmtDouble(s.avgW)
-              << ", \"energy_j\": " << fmtDouble(s.energyJ) << "}";
+              << ", \"avg_w\": " << s.avgW
+              << ", \"energy_j\": " << s.energyJ << "}";
         }
         o << "],\n     \"transitions\": [";
         for (size_t k = 0; k < m.transitions.size(); ++k) {
@@ -731,26 +684,22 @@ toModesJson(const peak::BatchReport &rep,
               << jsonEscape(t.from) << "\", \"to\": \""
               << jsonEscape(t.to) << "\", \"phase\": " << t.phase
               << ", \"occurrences\": " << t.occurrences
-              << ", \"peak_entry_w\": " << fmtDouble(t.peakEntryW)
+              << ", \"peak_entry_w\": " << t.peakEntryW
               << ", \"settle_cycles\": " << t.settleCycles
-              << ", \"peak_settle_w\": " << fmtDouble(t.peakSettleW)
-              << "}";
+              << ", \"peak_settle_w\": " << t.peakSettleW << "}";
         }
         o << "],\n     \"assertions\": [";
         for (size_t k = 0; k < m.assertions.size(); ++k) {
             const peak::ModeAssertionResult &a = m.assertions[k];
             o << (k ? ", " : "") << "{\"mode\": \""
               << jsonEscape(a.assertion.mode)
-              << "\", \"max_power_w\": "
-              << fmtDouble(a.assertion.maxPowerW)
+              << "\", \"max_power_w\": " << a.assertion.maxPowerW
               << ", \"settle_cycles\": " << a.assertion.settleCycles
               << ", \"pass\": " << (a.pass ? "true" : "false")
               << ", \"checked_cycles\": " << a.checkedCycles
               << ", \"violations\": " << a.violations
-              << ", \"first_violation_cycle\": "
-              << a.firstViolationCycle
-              << ", \"max_excess_w\": " << fmtDouble(a.maxExcessW)
-              << "}";
+              << ", \"first_violation_cycle\": " << a.firstViolationCycle
+              << ", \"max_excess_w\": " << a.maxExcessW << "}";
         }
         o << "],\n     \"findings\": [";
         for (size_t k = 0; k < m.findings.size(); ++k)
@@ -759,14 +708,14 @@ toModesJson(const peak::BatchReport &rep,
         o << "]}";
     }
     o << "\n  ]\n}\n";
-    return o.str();
+    return o.take();
 }
 
 std::string
 toModesCsv(const peak::BatchReport &rep,
            const std::vector<peak::ModeReport> &reports)
 {
-    std::ostringstream o;
+    util::Writer o;
     o << "program,scenario,kind,name,vdd,freq_hz,cycles,peak_w,"
          "avg_w,energy_j,pass,detail\n";
     for (size_t i = 0; i < rep.programs.size(); ++i) {
@@ -780,36 +729,28 @@ toModesCsv(const peak::BatchReport &rep,
         };
         for (const peak::ModeSlice &s : m.modes) {
             row("mode", s.name);
-            o << fmtDouble(s.vdd) << ',' << fmtDouble(s.freqHz)
-              << ',' << s.cycles << ',' << fmtDouble(s.peakW) << ','
-              << fmtDouble(s.avgW) << ',' << fmtDouble(s.energyJ)
-              << ",,\n";
+            o << s.vdd << ',' << s.freqHz << ',' << s.cycles << ','
+              << s.peakW << ',' << s.avgW << ',' << s.energyJ << ",,\n";
         }
         for (const peak::ModeTransition &t : m.transitions) {
             row("transition", t.from + "->" + t.to);
-            o << ",," << t.occurrences << ','
-              << fmtDouble(t.peakSettleW) << ",,,,"
-              << csvQuote("phase " + std::to_string(t.phase) +
-                          " settle " + std::to_string(t.settleCycles))
-              << "\n";
+            o << ",," << t.occurrences << ',' << t.peakSettleW
+              << ",,,,\"phase " << t.phase << " settle " << t.settleCycles
+              << "\"\n";
         }
         for (const peak::ModeAssertionResult &a : m.assertions) {
             row("assertion", a.assertion.mode);
-            o << ",," << a.checkedCycles << ','
-              << fmtDouble(a.assertion.maxPowerW) << ",,,"
-              << (a.pass ? 1 : 0) << ','
-              << csvQuote("violations " +
-                          std::to_string(a.violations) +
-                          " max_excess_w " +
-                          fmtDouble(a.maxExcessW))
-              << "\n";
+            o << ",," << a.checkedCycles << ',' << a.assertion.maxPowerW
+              << ",,," << (a.pass ? 1 : 0) << ",\"violations "
+              << a.violations << " max_excess_w " << a.maxExcessW
+              << "\"\n";
         }
         for (const std::string &f : m.findings) {
             row("finding", "");
             o << ",,,,,,," << csvQuote(f) << "\n";
         }
     }
-    return o.str();
+    return o.take();
 }
 
 int

@@ -5,12 +5,12 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
 
 #include "bench430/benchmarks.hh"
 #include "cli/driver.hh"
 #include "cli/parse_util.hh"
+#include "util/json.hh"
 
 namespace ulpeak {
 namespace cli {
@@ -44,31 +44,8 @@ foldBenchmarkInputs(const std::string &name, uint64_t seed,
     }
 }
 
-/** Shortest round-trip double formatting (the `ulpeak` JSON idiom). */
-std::string
-fmtDouble(double v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    return buf;
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default: out += c;
-        }
-    }
-    return out;
-}
+using util::fmtDouble;
+using util::jsonEscape;
 
 /** Shared whole-token integer parsing (cli/parse_util.hh): rejects
  *  trailing garbage and "-1"-style wraparound like the other CLIs. */
@@ -388,7 +365,7 @@ toFaultJson(const fault::CampaignResult &res,
             const fault::CampaignOptions &opts,
             const std::string &program, bool include_timings)
 {
-    std::ostringstream os;
+    util::Writer os;
     os << "{\n";
     os << "  \"program\": \"" << jsonEscape(program) << "\",\n";
     os << "  \"ok\": " << (res.ok ? "true" : "false") << ",\n";
@@ -397,8 +374,7 @@ toFaultJson(const fault::CampaignResult &res,
     os << "  \"seed\": " << opts.seed << ",\n"
        << "  \"cycles_per_site\": " << opts.cyclesPerSite << ",\n"
        << "  \"golden_cycles\": " << res.goldenCycles << ",\n"
-       << "  \"golden_instructions\": " << res.goldenInstructions
-       << ",\n"
+       << "  \"golden_instructions\": " << res.goldenInstructions << ",\n"
        << "  \"hang_cycles\": " << res.hangCycles << ",\n";
     os << "  \"envelope\": {\n"
        << "    \"present\": "
@@ -407,7 +383,7 @@ toFaultJson(const fault::CampaignResult &res,
         os << "    \"error\": \"" << jsonEscape(res.envelopeError)
            << "\",\n";
     os << "    \"cycles\": " << res.envelopeCycles << ",\n"
-       << "    \"peak_w\": " << fmtDouble(res.envelopePeakW) << "\n"
+       << "    \"peak_w\": " << res.envelopePeakW << "\n"
        << "  },\n";
     os << "  \"totals\": {\n"
        << "    \"injections\": " << res.injections.size() << ",\n"
@@ -428,7 +404,7 @@ toFaultJson(const fault::CampaignResult &res,
            << ", \"sdc\": " << sum.sdc << ", \"crash\": " << sum.crash
            << ", \"hang\": " << sum.hang
            << ", \"escapes\": " << sum.escapes
-           << ", \"max_peak_w\": " << fmtDouble(sum.maxPeakPowerW)
+           << ", \"max_peak_w\": " << sum.maxPeakPowerW
            << "}" << (s + 1 < res.sites.size() ? "," : "") << "\n";
     }
     os << "  ],\n";
@@ -446,7 +422,7 @@ toFaultJson(const fault::CampaignResult &res,
            << ", \"pc\": " << r.pc
            << ", \"gate_cycles\": " << r.gateCycles
            << ", \"retired\": " << r.instructionsRetired
-           << ", \"peak_w\": " << fmtDouble(r.peakPowerW)
+           << ", \"peak_w\": " << r.peakPowerW
            << ", \"peak_cycle\": " << r.peakCycle
            << ", \"trace_cycles\": " << r.traceCycles
            << ", \"escape\": " << (r.envelopeEscape ? "true" : "false")
@@ -458,17 +434,17 @@ toFaultJson(const fault::CampaignResult &res,
         os << ",\n  \"run\": {\n"
            << "    \"cache_hit\": "
            << (res.cacheHit ? "true" : "false") << ",\n"
-           << "    \"wall_seconds\": " << fmtDouble(res.wallSeconds)
+           << "    \"wall_seconds\": " << res.wallSeconds
            << "\n  }";
     }
     os << "\n}\n";
-    return os.str();
+    return os.take();
 }
 
 std::string
 toFaultCsv(const fault::CampaignResult &res)
 {
-    std::ostringstream os;
+    util::Writer os;
     os << "site,site_name,kind,cycle,outcome,applied,divergence,"
           "div_cycle,instr_index,pc,gate_cycles,retired,peak_w,"
           "peak_cycle,escape,escape_cycle\n";
@@ -481,11 +457,11 @@ toFaultCsv(const fault::CampaignResult &res)
            << cosim::divergenceKindName(r.kind) << ","
            << r.divergenceCycle << "," << r.instrIndex << "," << r.pc
            << "," << r.gateCycles << "," << r.instructionsRetired
-           << "," << fmtDouble(r.peakPowerW) << "," << r.peakCycle
+           << "," << r.peakPowerW << "," << r.peakCycle
            << "," << (r.envelopeEscape ? 1 : 0) << ","
            << r.escapeCycle << "\n";
     }
-    return os.str();
+    return os.take();
 }
 
 int

@@ -13,37 +13,15 @@
 #include "lint/lint.hh"
 #include "msp/cpu.hh"
 #include "scenario/scenario.hh"
+#include "util/json.hh"
 
 namespace ulpeak {
 namespace cli {
 
 namespace {
 
-/** Shortest round-trip double formatting (the `ulpeak` JSON idiom). */
-std::string
-fmtDouble(double v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    return buf;
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default: out += c;
-        }
-    }
-    return out;
-}
+using util::fmtDouble;
+using util::jsonEscape;
 
 /** One scenario's constant-analysis results, display-ready. */
 struct ScenarioLint {
@@ -74,7 +52,7 @@ toLintJson(const Netlist &nl, const lint::StructuralReport &sr,
            const std::vector<ScenarioLint> &scens, double freq_hz,
            double wall_seconds, bool include_timings)
 {
-    std::ostringstream os;
+    util::Writer os;
     os << "{\n";
     os << "  \"netlist\": {\"gates\": " << nl.numGates()
        << ", \"modules\": " << nl.numModules() << "},\n";
@@ -106,14 +84,10 @@ toLintJson(const Netlist &nl, const lint::StructuralReport &sr,
            << "     \"proven_seq\": " << a.provenSeq << ",\n"
            << "     \"prunable\": " << a.prunable << ",\n"
            << "     \"max_prune_depth\": " << a.maxPruneDepth << ",\n"
-           << "     \"quiescent_energy_j\": "
-           << fmtDouble(a.quiescentEnergyJ) << ",\n"
-           << "     \"switching_bound_j\": "
-           << fmtDouble(a.switchingBoundJ) << ",\n"
+           << "     \"quiescent_energy_j\": " << a.quiescentEnergyJ << ",\n"
+           << "     \"switching_bound_j\": " << a.switchingBoundJ << ",\n"
            << "     \"static_peak_power_w\": "
-           << fmtDouble(
-                  a.staticPeakPowerW(freq_hz, nl.totalLeakageW()))
-           << ",\n";
+           << a.staticPeakPowerW(freq_hz, nl.totalLeakageW()) << ",\n";
         os << "     \"cones\": [\n";
         for (size_t c = 0; c < sl.cones.size(); ++c) {
             const lint::QuiescentCone &qc = sl.cones[c];
@@ -121,18 +95,16 @@ toLintJson(const Netlist &nl, const lint::StructuralReport &sr,
                << "\", \"gates\": " << qc.gates
                << ", \"const\": " << qc.constGates
                << ", \"pruned\": " << qc.pruned
-               << ", \"quiescent_energy_j\": "
-               << fmtDouble(qc.quiescentEnergyJ) << "}"
+               << ", \"quiescent_energy_j\": " << qc.quiescentEnergyJ << "}"
                << (c + 1 < sl.cones.size() ? "," : "") << "\n";
         }
         os << "     ]}" << (s + 1 < scens.size() ? "," : "") << "\n";
     }
     os << "  ]";
     if (include_timings)
-        os << ",\n  \"run\": {\"wall_seconds\": "
-           << fmtDouble(wall_seconds) << "}";
+        os << ",\n  \"run\": {\"wall_seconds\": " << wall_seconds << "}";
     os << "\n}\n";
-    return os.str();
+    return os.take();
 }
 
 } // namespace

@@ -3,16 +3,13 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cinttypes>
-#include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
-#include <sstream>
 #include <thread>
 
 #include "fuzz/rng.hh"
+#include "util/cache_file.hh"
 
 namespace ulpeak {
 namespace fault {
@@ -27,74 +24,9 @@ secondsSince(Clock::time_point t0)
     return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-/// @name FNV-1a hashing (the batch layer's idiom)
-/// @{
-constexpr uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
-
-void
-hashBytes(uint64_t &h, const void *data, size_t n)
-{
-    const unsigned char *p = static_cast<const unsigned char *>(data);
-    for (size_t i = 0; i < n; ++i) {
-        h ^= p[i];
-        h *= kFnvPrime;
-    }
-}
-
-void
-hashU64(uint64_t &h, uint64_t v)
-{
-    hashBytes(h, &v, sizeof v);
-}
-
-void
-hashDouble(uint64_t &h, double d)
-{
-    uint64_t bits;
-    std::memcpy(&bits, &d, sizeof bits);
-    hashU64(h, bits);
-}
-
-void
-hashString(uint64_t &h, const std::string &s)
-{
-    hashU64(h, s.size());
-    hashBytes(h, s.data(), s.size());
-}
-/// @}
-
 /// @name Disk cache: one text file per campaign key
 /// @{
 constexpr const char *kCacheMagic = "ulfault-cache-v1";
-
-std::string
-doubleBits(double d)
-{
-    uint64_t bits;
-    std::memcpy(&bits, &d, sizeof bits);
-    char buf[24];
-    std::snprintf(buf, sizeof buf, "%016" PRIx64, bits);
-    return buf;
-}
-
-std::string
-floatBits(float f)
-{
-    uint32_t bits;
-    std::memcpy(&bits, &f, sizeof bits);
-    char buf[12];
-    std::snprintf(buf, sizeof buf, "%08x", bits);
-    return buf;
-}
-
-fs::path
-cachePath(const std::string &dir, uint64_t key)
-{
-    char name[40];
-    std::snprintf(name, sizeof name, "fault-%016" PRIx64 ".txt", key);
-    return fs::path(dir) / name;
-}
 
 /** One row per injection, fixed field order; every numeric field is
  *  decimal except the hex-bit-pattern peak power (exact float
@@ -102,40 +34,28 @@ cachePath(const std::string &dir, uint64_t key)
 void
 storeCached(const fs::path &path, const CampaignResult &res)
 {
-    std::ostringstream tmpname;
-    tmpname << path.filename().string() << ".tmp."
-            << std::hash<std::thread::id>{}(std::this_thread::get_id());
-    fs::path tmp = path.parent_path() / tmpname.str();
-    {
-        std::ofstream out(tmp);
-        if (!out)
-            return; // cache is best-effort
-        out << kCacheMagic << "\n"
-            << "golden_cycles " << res.goldenCycles << "\n"
-            << "golden_instructions " << res.goldenInstructions << "\n"
-            << "hang_cycles " << res.hangCycles << "\n"
-            << "envelope_present " << (res.envelopePresent ? 1 : 0)
-            << "\n"
-            << "envelope_cycles " << res.envelopeCycles << "\n"
-            << "envelope_peak_w_bits " << doubleBits(res.envelopePeakW)
-            << "\n"
-            << "rows " << res.injections.size() << "\n";
-        for (const InjectionResult &ir : res.injections) {
-            const FaultResult &r = ir.r;
-            out << "row " << ir.siteIndex << " " << ir.cycle << " "
-                << unsigned(r.outcome) << " " << (r.applied ? 1 : 0)
-                << " " << unsigned(r.kind) << " " << r.divergenceCycle
-                << " " << r.instrIndex << " " << r.pc << " "
-                << r.gateCycles << " " << r.instructionsRetired << " "
-                << floatBits(r.peakPowerW) << " " << r.peakCycle << " "
-                << r.traceCycles << " " << (r.envelopeEscape ? 1 : 0)
-                << " " << r.escapeCycle << "\n";
-        }
+    util::Writer out;
+    out << kCacheMagic << "\n"
+        << "golden_cycles " << res.goldenCycles << "\n"
+        << "golden_instructions " << res.goldenInstructions << "\n"
+        << "hang_cycles " << res.hangCycles << "\n"
+        << "envelope_present " << (res.envelopePresent ? 1 : 0) << "\n"
+        << "envelope_cycles " << res.envelopeCycles << "\n"
+        << "envelope_peak_w_bits " << util::doubleBits(res.envelopePeakW)
+        << "\n"
+        << "rows " << res.injections.size() << "\n";
+    for (const InjectionResult &ir : res.injections) {
+        const FaultResult &r = ir.r;
+        out << "row " << ir.siteIndex << " " << ir.cycle << " "
+            << unsigned(r.outcome) << " " << (r.applied ? 1 : 0) << " "
+            << unsigned(r.kind) << " " << r.divergenceCycle << " "
+            << r.instrIndex << " " << r.pc << " " << r.gateCycles << " "
+            << r.instructionsRetired << " "
+            << util::floatBits(r.peakPowerW) << " " << r.peakCycle << " "
+            << r.traceCycles << " " << (r.envelopeEscape ? 1 : 0) << " "
+            << r.escapeCycle << "\n";
     }
-    std::error_code ec;
-    fs::rename(tmp, path, ec);
-    if (ec)
-        fs::remove(tmp, ec);
+    util::writeFileAtomic(path, out.take()); // cache is best-effort
 }
 
 /** Load the campaign body; false on miss/corruption (re-run). The
@@ -172,13 +92,9 @@ loadCached(const fs::path &path, CampaignResult &res)
             if (!(in >> res.envelopeCycles))
                 return false;
         } else if (k == "envelope_peak_w_bits") {
-            if (!(in >> peakBits))
+            if (!(in >> peakBits) ||
+                !util::bitsValue(peakBits, res.envelopePeakW))
                 return false;
-            uint64_t bits = 0;
-            if (std::sscanf(peakBits.c_str(), "%" SCNx64, &bits) != 1)
-                return false;
-            std::memcpy(&res.envelopePeakW, &bits,
-                        sizeof res.envelopePeakW);
         } else if (k == "rows") {
             if (!(in >> rows))
                 return false;
@@ -210,10 +126,8 @@ loadCached(const fs::path &path, CampaignResult &res)
         r.applied = applied != 0;
         r.kind = cosim::Divergence::Kind(kind);
         r.envelopeEscape = escape != 0;
-        uint32_t bits = 0;
-        if (std::sscanf(pBits.c_str(), "%" SCNx32, &bits) != 1)
+        if (!util::bitsValue(pBits, r.peakPowerW))
             return false;
-        std::memcpy(&r.peakPowerW, &bits, sizeof r.peakPowerW);
     }
     return true;
 }
@@ -292,45 +206,45 @@ uint64_t
 campaignCacheKey(const CellLibrary &lib, const isa::Image &image,
                  const CampaignOptions &opts)
 {
-    uint64_t h = kFnvOffset;
-    hashString(h, kCacheMagic);
+    uint64_t h = util::kFnvOffset;
+    util::hashString(h, kCacheMagic);
     // Library by content (the batch layer's rule: a calibration edit
     // must invalidate everything).
-    hashString(h, lib.name());
-    hashDouble(h, lib.vdd());
-    hashDouble(h, lib.wireCapPerFanoutF());
+    util::hashString(h, lib.name());
+    util::hashDouble(h, lib.vdd());
+    util::hashDouble(h, lib.wireCapPerFanoutF());
     for (size_t k = 0; k < kNumCellKinds; ++k) {
         const CellParams &p = lib.params(CellKind(k));
-        hashDouble(h, p.inputCapF);
-        hashDouble(h, p.riseEnergyJ);
-        hashDouble(h, p.fallEnergyJ);
-        hashDouble(h, p.leakageW);
-        hashDouble(h, p.areaUm2);
-        hashDouble(h, p.clkPinEnergyJ);
+        util::hashDouble(h, p.inputCapF);
+        util::hashDouble(h, p.riseEnergyJ);
+        util::hashDouble(h, p.fallEnergyJ);
+        util::hashDouble(h, p.leakageW);
+        util::hashDouble(h, p.areaUm2);
+        util::hashDouble(h, p.clkPinEnergyJ);
     }
     // Result-affecting campaign options. jobs, packed and evalMode
     // are excluded: the determinism contract makes them
     // classification-invariant (and the tests lockstep them).
-    hashU64(h, opts.seed);
-    hashU64(h, opts.cyclesPerSite);
-    hashU64(h, opts.maxFlopSites);
-    hashU64(h, opts.ramSites);
-    hashU64(h, opts.portIn);
-    hashU64(h, opts.goldenMaxCycles);
-    hashU64(h, opts.hangCycles);
-    hashDouble(h, opts.freqHz);
-    hashU64(h, opts.withEnvelope ? 1 : 0);
+    util::hashU64(h, opts.seed);
+    util::hashU64(h, opts.cyclesPerSite);
+    util::hashU64(h, opts.maxFlopSites);
+    util::hashU64(h, opts.ramSites);
+    util::hashU64(h, opts.portIn);
+    util::hashU64(h, opts.goldenMaxCycles);
+    util::hashU64(h, opts.hangCycles);
+    util::hashDouble(h, opts.freqHz);
+    util::hashU64(h, opts.withEnvelope ? 1 : 0);
     if (opts.withEnvelope) {
-        hashDouble(h, opts.analysis.freqHz);
-        hashU64(h, opts.analysis.maxTotalCycles);
-        hashU64(h, opts.analysis.inputDependentLoopBound);
+        util::hashDouble(h, opts.analysis.freqHz);
+        util::hashU64(h, opts.analysis.maxTotalCycles);
+        util::hashU64(h, opts.analysis.inputDependentLoopBound);
         opts.analysis.scenario.hashInto(h);
     }
     auto words = image.flatten();
-    hashU64(h, words.size());
+    util::hashU64(h, words.size());
     for (const auto &[addr, word] : words) {
-        hashU64(h, addr);
-        hashU64(h, word);
+        util::hashU64(h, addr);
+        util::hashU64(h, word);
     }
     return h;
 }
@@ -360,8 +274,8 @@ runCampaign(const CellLibrary &lib, const isa::Image &image,
     fs::path entry;
     if (useCache) {
         fs::create_directories(opts.cacheDir);
-        entry = cachePath(opts.cacheDir,
-                          campaignCacheKey(lib, image, opts));
+        entry = util::entryPath(opts.cacheDir, "fault-",
+                                campaignCacheKey(lib, image, opts));
     }
 
     // Golden (unfaulted) lockstep run: defines the injection-cycle

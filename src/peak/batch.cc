@@ -1,17 +1,16 @@
 #include "peak/batch.hh"
 
+#include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
-#include <cinttypes>
-#include <cstdio>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <memory>
-#include <sstream>
+#include <string_view>
 #include <thread>
 
 #include "msp/cpu.hh"
+#include "util/cache_file.hh"
 
 namespace ulpeak {
 namespace peak {
@@ -25,43 +24,6 @@ secondsSince(Clock::time_point t0)
 {
     return std::chrono::duration<double>(Clock::now() - t0).count();
 }
-
-/// @name FNV-1a hashing over heterogeneous fields
-/// @{
-constexpr uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
-
-void
-hashBytes(uint64_t &h, const void *data, size_t n)
-{
-    const unsigned char *p = static_cast<const unsigned char *>(data);
-    for (size_t i = 0; i < n; ++i) {
-        h ^= p[i];
-        h *= kFnvPrime;
-    }
-}
-
-void
-hashU64(uint64_t &h, uint64_t v)
-{
-    hashBytes(h, &v, sizeof v);
-}
-
-void
-hashDouble(uint64_t &h, double d)
-{
-    uint64_t bits;
-    std::memcpy(&bits, &d, sizeof bits);
-    hashU64(h, bits);
-}
-
-void
-hashString(uint64_t &h, const std::string &s)
-{
-    hashU64(h, s.size());
-    hashBytes(h, s.data(), s.size());
-}
-/// @}
 
 /// @name Disk cache: one small text file per key
 /// @{
@@ -79,91 +41,32 @@ hashString(uint64_t &h, const std::string &s)
 // deserializing into a garbage report).
 constexpr const char *kCacheMagic = "ulpeak-cache-v4";
 
-std::string
-doubleBits(double d)
-{
-    uint64_t bits;
-    std::memcpy(&bits, &d, sizeof bits);
-    char buf[24];
-    std::snprintf(buf, sizeof buf, "%016" PRIx64, bits);
-    return buf;
-}
-
-double
-bitsDouble(const std::string &s, bool &ok)
-{
-    uint64_t bits = 0;
-    if (std::sscanf(s.c_str(), "%" SCNx64, &bits) != 1) {
-        ok = false;
-        return 0.0;
-    }
-    double d;
-    std::memcpy(&d, &bits, sizeof d);
-    return d;
-}
-
-std::string
-floatBits(float f)
-{
-    uint32_t bits;
-    std::memcpy(&bits, &f, sizeof bits);
-    char buf[12];
-    std::snprintf(buf, sizeof buf, "%08x", bits);
-    return buf;
-}
-
-/** Parse @p n floats from @p s (8 hex digits each, concatenated). */
-bool
-bitsFloats(const std::string &s, size_t n, std::vector<float> &out)
-{
-    if (s.size() != n * 8)
-        return false;
-    out.resize(n);
-    for (size_t i = 0; i < n; ++i) {
-        uint32_t bits = 0;
-        for (size_t d = 0; d < 8; ++d) {
-            char c = s[i * 8 + d];
-            uint32_t v;
-            if (c >= '0' && c <= '9')
-                v = uint32_t(c - '0');
-            else if (c >= 'a' && c <= 'f')
-                v = uint32_t(c - 'a' + 10);
-            else
-                return false;
-            bits = bits << 4 | v;
-        }
-        std::memcpy(&out[i], &bits, sizeof bits);
-    }
-    return true;
-}
-
-fs::path
-cachePath(const std::string &dir, uint64_t key)
-{
-    char name[32];
-    std::snprintf(name, sizeof name, "%016" PRIx64 ".txt", key);
-    return fs::path(dir) / name;
-}
-
 /** Load a cached result into @p r; false on miss or a malformed /
  *  truncated entry (treated as a miss and overwritten). When
  *  @p expect_envelope, an entry without the envelope payload is a
- *  miss; window curves are rebuilt by the caller. */
+ *  miss; window curves are rebuilt by the caller. The entry is read
+ *  in one call and parsed in place, one "key value" line at a time. */
 bool
 loadCached(const fs::path &path, ProgramResult &r,
            bool expect_envelope)
 {
-    std::ifstream in(path);
-    if (!in)
+    std::string buf;
+    if (!util::readFile(path, buf))
         return false;
-    std::string magic;
-    if (!std::getline(in, magic) || magic != kCacheMagic)
+    std::string_view rest(buf);
+    auto line = [&rest]() {
+        size_t eol = std::min(rest.find('\n'), rest.size());
+        std::string_view l = rest.substr(0, eol);
+        rest.remove_prefix(std::min(eol + 1, rest.size()));
+        return l;
+    };
+    if (line() != kCacheMagic)
         return false;
     bool ok = true;
-    auto parseU64 = [&ok](const std::string &s) -> uint64_t {
-        char *end = nullptr;
-        uint64_t v = std::strtoull(s.c_str(), &end, 10);
-        if (s.empty() || !end || *end != '\0')
+    auto parseU64 = [&ok](std::string_view s) -> uint64_t {
+        uint64_t v = 0;
+        auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+        if (s.empty() || ec != std::errc() || end != s.data() + s.size())
             ok = false;
         return v;
     };
@@ -174,17 +77,22 @@ loadCached(const fs::path &path, ProgramResult &r,
         seen |= 1u << bit;
     };
     uint64_t envCycles = 0;
-    std::string envBits;
-    std::string k, v;
-    while (in >> k >> v) {
+    std::string_view envBits;
+    while (!rest.empty()) {
+        std::string_view k = line(), v;
+        size_t sp = k.find(' ');
+        if (sp != std::string_view::npos) {
+            v = k.substr(sp + 1);
+            k = k.substr(0, sp);
+        }
         if (k == "peak_power_w_bits") {
-            r.peakPowerW = bitsDouble(v, ok);
+            ok &= util::bitsValue(v, r.peakPowerW);
             mark(0);
         } else if (k == "peak_energy_j_bits") {
-            r.peakEnergyJ = bitsDouble(v, ok);
+            ok &= util::bitsValue(v, r.peakEnergyJ);
             mark(1);
         } else if (k == "npe_j_per_cycle_bits") {
-            r.npeJPerCycle = bitsDouble(v, ok);
+            ok &= util::bitsValue(v, r.npeJPerCycle);
             mark(2);
         } else if (k == "max_path_cycles") {
             r.maxPathCycles = parseU64(v);
@@ -214,52 +122,40 @@ loadCached(const fs::path &path, ProgramResult &r,
         return false;
     if (expect_envelope) {
         r.envelope.present = true;
-        if (!bitsFloats(envBits, size_t(envCycles),
-                        r.envelope.powerW))
+        if (!util::bitsFloats(envBits, size_t(envCycles),
+                              r.envelope.powerW))
             return false;
     }
     r.ok = true;
     return true;
 }
 
-/** Atomically persist a successful result (tmp + rename). */
+/** Atomically persist a successful result (temp sibling + rename). */
 void
 storeCached(const fs::path &path, const ProgramResult &r)
 {
-    std::ostringstream tmpname;
-    tmpname << path.filename().string() << ".tmp."
-            << std::hash<std::thread::id>{}(
-                   std::this_thread::get_id());
-    fs::path tmp = path.parent_path() / tmpname.str();
-    {
-        std::ofstream out(tmp);
-        if (!out)
-            return; // cache is best-effort; analysis result stands
-        out << kCacheMagic << "\n"
-            << "peak_power_w_bits " << doubleBits(r.peakPowerW) << "\n"
-            << "peak_energy_j_bits " << doubleBits(r.peakEnergyJ)
-            << "\n"
-            << "npe_j_per_cycle_bits " << doubleBits(r.npeJPerCycle)
-            << "\n"
-            << "max_path_cycles " << r.maxPathCycles << "\n"
-            << "total_cycles " << r.totalCycles << "\n"
-            << "paths_explored " << r.pathsExplored << "\n"
-            << "dedup_merges " << r.dedupMerges << "\n";
-        if (r.envelope.present) {
-            out << "envelope_cycles " << r.envelope.powerW.size()
-                << "\n";
-            if (!r.envelope.powerW.empty()) {
-                out << "envelope_w_bits ";
-                for (float f : r.envelope.powerW)
-                    out << floatBits(f);
-                out << "\n";
-            }
+    util::Writer out;
+    out << kCacheMagic << "\n"
+        << "peak_power_w_bits " << util::doubleBits(r.peakPowerW) << "\n"
+        << "peak_energy_j_bits " << util::doubleBits(r.peakEnergyJ)
+        << "\n"
+        << "npe_j_per_cycle_bits " << util::doubleBits(r.npeJPerCycle)
+        << "\n"
+        << "max_path_cycles " << r.maxPathCycles << "\n"
+        << "total_cycles " << r.totalCycles << "\n"
+        << "paths_explored " << r.pathsExplored << "\n"
+        << "dedup_merges " << r.dedupMerges << "\n";
+    if (r.envelope.present) {
+        out << "envelope_cycles " << r.envelope.powerW.size() << "\n";
+        if (!r.envelope.powerW.empty()) {
+            out << "envelope_w_bits ";
+            for (float f : r.envelope.powerW)
+                out << util::floatBits(f);
+            out << "\n";
         }
     }
-    std::error_code ec;
-    fs::rename(tmp, path, ec);
-    if (ec)
-        fs::remove(tmp, ec);
+    // The cache is best-effort: a failed write leaves a miss behind.
+    util::writeFileAtomic(path, out.take());
 }
 /// @}
 
@@ -291,21 +187,21 @@ uint64_t
 cacheKey(const CellLibrary &lib, const isa::Image &image,
          const Options &opts)
 {
-    uint64_t h = kFnvOffset;
-    hashString(h, kCacheMagic);
+    uint64_t h = util::kFnvOffset;
+    util::hashString(h, kCacheMagic);
     // The library participates by *content*, not just name: editing a
     // calibration constant must invalidate every cached entry.
-    hashString(h, lib.name());
-    hashDouble(h, lib.vdd());
-    hashDouble(h, lib.wireCapPerFanoutF());
+    util::hashString(h, lib.name());
+    util::hashDouble(h, lib.vdd());
+    util::hashDouble(h, lib.wireCapPerFanoutF());
     for (size_t k = 0; k < kNumCellKinds; ++k) {
         const CellParams &p = lib.params(CellKind(k));
-        hashDouble(h, p.inputCapF);
-        hashDouble(h, p.riseEnergyJ);
-        hashDouble(h, p.fallEnergyJ);
-        hashDouble(h, p.leakageW);
-        hashDouble(h, p.areaUm2);
-        hashDouble(h, p.clkPinEnergyJ);
+        util::hashDouble(h, p.inputCapF);
+        util::hashDouble(h, p.riseEnergyJ);
+        util::hashDouble(h, p.fallEnergyJ);
+        util::hashDouble(h, p.leakageW);
+        util::hashDouble(h, p.areaUm2);
+        util::hashDouble(h, p.clkPinEnergyJ);
     }
     // Result-affecting options only; numThreads, evalMode,
     // snapshotMode, staticPrune and packedExplore are excluded on
@@ -316,22 +212,22 @@ cacheKey(const CellLibrary &lib, const isa::Image &image,
     // recordEnvelope and the window set participate: they change
     // what a cached entry must contain. The scenario participates by
     // content (not name): it changes every number.
-    hashDouble(h, opts.freqHz);
-    hashU64(h, opts.maxTotalCycles);
-    hashU64(h, opts.inputDependentLoopBound);
+    util::hashDouble(h, opts.freqHz);
+    util::hashU64(h, opts.maxTotalCycles);
+    util::hashU64(h, opts.inputDependentLoopBound);
     opts.scenario.hashInto(h);
-    hashU64(h, opts.recordEnvelope ? 1 : 0);
+    util::hashU64(h, opts.recordEnvelope ? 1 : 0);
     if (opts.recordEnvelope) {
-        hashU64(h, opts.envelopeWindows.size());
+        util::hashU64(h, opts.envelopeWindows.size());
         for (unsigned w : opts.envelopeWindows)
-            hashU64(h, w);
+            util::hashU64(h, w);
     }
     // Image contents: flattened (address, word) pairs.
     auto words = image.flatten();
-    hashU64(h, words.size());
+    util::hashU64(h, words.size());
     for (const auto &[addr, word] : words) {
-        hashU64(h, addr);
-        hashU64(h, word);
+        util::hashU64(h, addr);
+        util::hashU64(h, word);
     }
     return h;
 }
@@ -387,8 +283,8 @@ analyzeBatch(const CellLibrary &lib,
 
             fs::path entry;
             if (useCache) {
-                entry = cachePath(opts.cacheDir,
-                                  cacheKey(lib, prog.image, aopts));
+                entry = util::entryPath(opts.cacheDir, "",
+                                        cacheKey(lib, prog.image, aopts));
                 if (loadCached(entry, r, aopts.recordEnvelope)) {
                     if (r.envelope.present) {
                         // Window curves are derived data: rebuild

@@ -182,29 +182,6 @@ System::readReg(const Simulator &sim, unsigned r) const
     return sim.readBus(h_.regs[r]);
 }
 
-Word16
-System::readIr(const Simulator &sim) const
-{
-    return sim.readBus(h_.ir);
-}
-
-int
-System::fsmState(const Simulator &sim) const
-{
-    int found = -1;
-    for (unsigned s = 0; s < kNumStates; ++s) {
-        V4 v = sim.value(h_.state[s]);
-        if (v == V4::X)
-            return -1;
-        if (v == V4::One) {
-            if (found >= 0)
-                return -1;
-            found = int(s);
-        }
-    }
-    return found;
-}
-
 System::Snapshot
 System::snapshot() const
 {

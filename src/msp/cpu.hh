@@ -136,9 +136,31 @@ class System {
     /** Architectural views (for checks and the symbolic engine). */
     Word16 readPc(const Simulator &sim) const;
     Word16 readReg(const Simulator &sim, unsigned r) const;
-    Word16 readIr(const Simulator &sim) const;
     /** Index of the active FSM state; -1 if not one-hot concrete. */
-    int fsmState(const Simulator &sim) const;
+    int
+    fsmState(const Simulator &sim) const
+    {
+        return fsmStateOf([&sim](GateId g) { return sim.value(g); });
+    }
+    /** fsmState over any per-gate value reader @p value_of (e.g. one
+     *  lane of a PackedSimulator). */
+    template <class ValueOf>
+    int
+    fsmStateOf(ValueOf value_of) const
+    {
+        int found = -1;
+        for (unsigned s = 0; s < kNumStates; ++s) {
+            V4 v = value_of(h_.state[s]);
+            if (v == V4::X)
+                return -1;
+            if (v == V4::One) {
+                if (found >= 0)
+                    return -1;
+                found = int(s);
+            }
+        }
+        return found;
+    }
 
     /** Per-access behavioral RAM/ROM energy [J] (read and write). */
     static constexpr double kMemAccessEnergyJ = 1.6e-12;

@@ -33,19 +33,20 @@
  * contents, result-affecting analysis options, scenario contents).
  * Options that provably cannot change the numbers -- numThreads
  * (scheduling-independent exploration), evalMode (bit-identical
- * kernels), snapshotMode (bit-identical fork representations), and
- * the recordActiveSets/recordModuleTrace trace flags (never cached)
- * -- are excluded from the key, so re-runs under a different thread
- * count or kernel still hit. recordEnvelope and envelopeWindows *do*
- * participate: they change what a cached entry must contain; the
- * scenario participates by content hash because it changes every
- * number. Entries carry a format-version header (v2 added the
- * envelope fields, v3 the scenario-aware key, v4 operating-mode
- * schedules in the scenario hash), so stale entries from an older
- * binary are treated as misses instead of deserializing into
- * garbage reports. Cached doubles (and envelope floats)
- * round-trip through their bit patterns, so a warm run reproduces
- * the cold run bit for bit.
+ * kernels), snapshotMode (bit-identical fork representations),
+ * staticPrune and packedExplore (bit-identical exploration
+ * strategies), and the recordActiveSets/recordModuleTrace trace flags
+ * (never cached) -- are excluded from the key, so re-runs under a
+ * different thread count, kernel or strategy still hit.
+ * recordEnvelope and envelopeWindows *do* participate: they change
+ * what a cached entry must contain; the scenario participates by
+ * content hash because it changes every number. Entries carry a
+ * format-version header (v2 added the envelope fields, v3 the
+ * scenario-aware key, v4 operating-mode schedules in the scenario
+ * hash), so stale entries from an older binary are treated as misses
+ * instead of deserializing into garbage reports. Cached doubles (and
+ * envelope floats) round-trip through their bit patterns, so a warm
+ * run reproduces the cold run bit for bit.
  *
  * Quickstart:
  * @code
@@ -212,8 +213,9 @@ struct BatchReport {
 
 /**
  * Cache key for one (library, image, options) combination -- exposed
- * so tests can pin the exclusion rules (numThreads/evalMode/record*
- * do not participate; see the file comment).
+ * so tests can pin the exclusion rules (numThreads, evalMode,
+ * snapshotMode, staticPrune, packedExplore and record* do not
+ * participate; see the file comment).
  */
 uint64_t cacheKey(const CellLibrary &lib, const isa::Image &image,
                   const Options &opts);

@@ -111,9 +111,6 @@ struct Report {
     uint64_t packedBatches = 0;
     uint64_t packedSweeps = 0;
     uint64_t packedLaneCycles = 0;
-
-    /** Full result (execution tree etc.) for advanced consumers. */
-    sym::SymbolicResult sym;
 };
 
 /** Run the full analysis of Chapter 3 on @p image. */

@@ -38,7 +38,7 @@ analyze(msp::System &sys, const isa::Image &image, const Options &opts)
     r.steals = sr.steals;
     r.snapshotBytesCopied = sr.snapshotBytesCopied;
     r.snapshotBytesFull = sr.snapshotBytesFull;
-    r.perWorkerCycles = sr.perWorkerCycles;
+    r.perWorkerCycles = std::move(sr.perWorkerCycles);
     r.packedBatches = sr.packedBatches;
     r.packedSweeps = sr.packedSweeps;
     r.packedLaneCycles = sr.packedLaneCycles;
@@ -53,9 +53,8 @@ analyze(msp::System &sys, const isa::Image &image, const Options &opts)
         else
             buildWindowCurves(r.envelope, 1.0 / opts.freqHz);
     }
-    r.everActive = sr.everActive;
-    r.peakActive = sr.peakActive;
-    r.sym = std::move(sr);
+    r.everActive = std::move(sr.everActive);
+    r.peakActive = std::move(sr.peakActive);
     return r;
 }
 

@@ -55,23 +55,71 @@ netlistStructureHash(const Netlist &nl)
     return h;
 }
 
-/** One un-processed execution path (Algorithm 1's stack U entry).
- * The simulator state is either a full snapshot or a delta against a
- * shared base (both immutable and shared between sibling entries);
- * the node pointer is pre-resolved under the tree lock so workers
+/** Where a path stands: its tree node and the per-path registers the
+ * next step needs. Queued (Pending) and in-flight (Path) paths share
+ * it. The node pointer is pre-resolved under the tree lock so workers
  * never touch the tree container concurrently. */
-struct Pending {
-    std::shared_ptr<const Simulator::Snapshot> simFull;
-    std::shared_ptr<const Simulator::DeltaSnapshot> simDelta;
-    std::shared_ptr<const msp::System::Snapshot> sysSnap;
+struct PathPos {
     uint32_t node = 0;
     TreeNode *nodePtr = nullptr;
     uint64_t nodeKey = 0;  ///< dedup key that created the node (0: root)
     uint32_t forcedPc = kNoForcedPc; ///< PC constraint on the next step
-    uint32_t lastKnownPc = 0; ///< last concrete PC value on this path
-    uint32_t curInstrAddr = 0; ///< instruction in execute/mem (COI)
+    uint32_t lastPc = 0;   ///< last concrete PC value on this path
+    uint32_t curInstr = 0; ///< instruction in execute/mem (COI)
     uint64_t pathCycles = 0;
     bool applyInit = false; ///< root only: scenario register forces
+};
+
+/** One un-processed execution path (Algorithm 1's stack U entry).
+ * The simulator state is either a full snapshot or a delta against a
+ * shared base (both immutable and shared between sibling entries). */
+struct Pending : PathPos {
+    std::shared_ptr<const Simulator::Snapshot> simFull;
+    std::shared_ptr<const Simulator::DeltaSnapshot> simDelta;
+    std::shared_ptr<const msp::System::Snapshot> sysSnap;
+};
+
+/** One path being simulated in a worker slot. */
+struct Path : PathPos {
+    /** Snapshot the path restored from: the delta base (and byte
+     *  denominator) of its own fork capture. */
+    std::shared_ptr<const Simulator::Snapshot> base;
+    /** Absolute simulator cycle of the path (the scalar sim's cycle()
+     *  after restore + steps); stamps extracted lane snapshots so
+     *  prune engagement and deltas line up. */
+    uint64_t absCycle = 0;
+    /// Per-cycle data, committed to the node at the fork/leaf boundary.
+    std::vector<float> powerW;
+    std::vector<std::vector<float>> modulePowerW;
+    std::vector<CycleInfo> cycleInfo;
+};
+
+/** Fork-time state of a live scalar simulator. */
+struct LiveState {
+    const Simulator &sim;
+    uint64_t hash() const { return sim.hashFullState(); }
+    Simulator::DeltaSnapshot
+    delta(const std::shared_ptr<const Simulator::Snapshot> &base) const
+    {
+        return sim.snapshotDelta(base);
+    }
+    Simulator::Snapshot full() { return sim.snapshot(); }
+};
+
+/** Fork-time state of a packed lane, transposed to a scalar snapshot.
+ *  Lane identity makes its bytes equal to the scalar run's, and
+ *  hashSnapshotState applies the prune-basis rule against the
+ *  snapshot's own cycle, so --static-prune keys match too. */
+struct LaneState {
+    const Simulator &hasher;
+    Simulator::Snapshot snap;
+    uint64_t hash() const { return hasher.hashSnapshotState(snap); }
+    Simulator::DeltaSnapshot
+    delta(const std::shared_ptr<const Simulator::Snapshot> &base) const
+    {
+        return Simulator::deltaBetween(snap, base);
+    }
+    Simulator::Snapshot full() { return std::move(snap); }
 };
 
 /**
@@ -204,6 +252,22 @@ struct SharedState {
  * them to the next fork or leaf, and commits traces to the tree
  * through the nodes it owns. Peak candidates and activity sets are
  * tracked locally and merged after the pool drains.
+ *
+ * The scalar and packed frontiers run the same loop: a worker holds
+ * in-flight paths in slots (one for the scalar Simulator, 64 for the
+ * PackedSimulator's lanes), and only the kernel calls differ --
+ * ScalarKernel and PackedKernel below. A packed lane is loaded from a
+ * Pending's snapshot, advanced by the shared level-bucketed sweep
+ * until it reaches its own fork / halt / failure boundary, then
+ * transposed back to a scalar snapshot for the same dedup, capture
+ * and commit. The lane-identity invariant of the packed kernel makes
+ * every per-lane byte -- values, activity, energies, and therefore
+ * hashes, keys, traces and snapshots -- equal to the scalar run's,
+ * which is the whole bit-identity argument: same keys => same node
+ * set, edges and merge counts; same traces => same peak/energy/NPE/
+ * envelope; same snapshot bytes => same byte statistics. Only
+ * scheduling statistics (steals, batch/occupancy counters,
+ * per-worker cycles) differ.
  */
 class Worker {
   public:
@@ -246,6 +310,7 @@ class Worker {
         }
         if (cfg_.recordActiveSets)
             everActive_.assign(sys_->netlist().numGates(), 0);
+        paths_.resize(cfg_.packedExplore ? PackedSimulator::kLanes : 1);
         if (cfg_.packedExplore) {
             psim_ = std::make_unique<PackedSimulator>(
                 sys_->netlist());
@@ -274,7 +339,6 @@ class Worker {
             // enable and returns X data without billing) and no lane
             // is live, so no edge effect can commit.
             psim_->step();
-            lanes_.resize(PackedSimulator::kLanes);
         }
     }
 
@@ -285,51 +349,10 @@ class Worker {
     void
     explore(SharedState &sh)
     {
-        if (cfg_.packedExplore) {
-            explorePacked(sh);
-            return;
-        }
-        for (;;) {
-            if (sh.failed.load())
-                break;
-            Pending p;
-            bool got = sh.popOwn(id_, p);
-            if (!got && sh.queues.size() > 1) {
-                got = sh.stealFrom(id_, p);
-                // Back off after a failed steal sweep: when workers
-                // outnumber cores, re-spinning over the victims'
-                // mutexes starves the owners mid-push.
-                if (!got)
-                    std::this_thread::yield();
-            }
-            if (got) {
-                sh.pathsExplored.fetch_add(
-                    1, std::memory_order_relaxed);
-                // Exceptions must not escape a worker thread (that
-                // would terminate the process); convert them into
-                // the engine's normal failure reporting.
-                try {
-                    runPath(sh, std::move(p));
-                } catch (const std::exception &e) {
-                    sh.fail(std::string("worker exception: ") +
-                            e.what());
-                }
-                if (sh.inflight.fetch_sub(1) == 1) {
-                    std::lock_guard<std::mutex> lock(sh.idleMu);
-                    sh.idleCv.notify_all();
-                }
-                continue;
-            }
-            std::unique_lock<std::mutex> lock(sh.idleMu);
-            sh.idleCv.wait(lock, [&] {
-                return sh.failed.load() || sh.inflight.load() == 0 ||
-                       sh.queued.load(std::memory_order_acquire) > 0;
-            });
-            if (sh.failed.load() || sh.inflight.load() == 0)
-                break;
-        }
-        std::lock_guard<std::mutex> lock(sh.idleMu);
-        sh.idleCv.notify_all();
+        if (psim_)
+            schedule(sh, PackedKernel{*this});
+        else
+            schedule(sh, ScalarKernel{*this});
     }
 
     /// @name Locally-merged results
@@ -345,6 +368,7 @@ class Worker {
     std::vector<uint32_t> peakActive;
     std::vector<uint8_t> everActive_;
     uint64_t cyclesRun = 0; ///< cycles this worker simulated
+    /// @}
 
     /** Strict-weak "better candidate" order used both within a worker
      * and for the final cross-worker merge. */
@@ -359,40 +383,396 @@ class Worker {
             return node_key < peakNodeKey;
         return cycle < peakCycleInNode;
     }
-    /// @}
 
   private:
-    /** Capture the current simulator state for a fork: a delta
-     * against @p base, promoted to a fresh full snapshot when the
-     * path has diverged too far (or always, in Full mode). The
-     * choice is a pure function of path state, so every scheduling
-     * captures the same representations and the byte statistics are
-     * deterministic. */
+    /** Kernel calls of the scalar frontier: the worker's Simulator and
+     *  System carry its one slot. */
+    struct ScalarKernel {
+        static constexpr unsigned kWidth = 1;
+        Worker &w;
+
+        void
+        load(unsigned, const Pending &p) const
+        {
+            if (p.simDelta)
+                w.sim_->restore(*p.simDelta);
+            else
+                w.sim_->restore(*p.simFull);
+            w.sys_->restore(*p.sysSnap);
+        }
+
+        void
+        step(uint64_t) const
+        {
+            const Path &P = w.paths_[0];
+            const msp::CpuHandles &h = w.sys_->handles();
+            const scenario::Scenario &scen = w.cfg_.scenario;
+            w.sim_->step([&](Simulator &s) {
+                // Algorithm 1 line 11, generalized: the scenario
+                // says which port bits are X this cycle.
+                w.sys_->driveCycle(s, scen.portWordAt(P.pathCycles));
+                if (P.applyInit) {
+                    // Scenario initial-register constraints: narrow
+                    // the boot-X registers once, right after reset,
+                    // the same way forks narrow the PC.
+                    for (const auto &[reg, value] : scen.regInit)
+                        s.forceBus(h.regs[reg], Word16::known(value));
+                }
+                if (P.forcedPc != kNoForcedPc) {
+                    // Algorithm 1's update_PC_next: constrain only the
+                    // PC flops, right after the edge, before fetch
+                    // logic evaluates.
+                    s.forceBus(h.pc, Word16::known(uint16_t(P.forcedPc)));
+                }
+            });
+            if (w.cfg_.recordActiveSets)
+                for (GateId g : w.sim_->activeGates())
+                    w.everActive_[g] = 1;
+        }
+
+        Word16
+        bus(const std::vector<GateId> &b, unsigned) const
+        {
+            return w.sim_->readBus(b);
+        }
+        int fsmState(unsigned) const { return w.sys_->fsmState(*w.sim_); }
+        V4
+        predictSeq(GateId g, unsigned) const
+        {
+            return w.sim_->predictSeqValue(g);
+        }
+        double
+        boundEnergyJ(unsigned) const
+        {
+            return w.sim_->boundEnergyJ();
+        }
+        const std::vector<double> &
+        moduleEnergyJ(unsigned) const
+        {
+            return w.sim_->moduleBoundEnergyJ();
+        }
+        void
+        activeGates(unsigned, std::vector<uint32_t> &out) const
+        {
+            out.assign(w.sim_->activeGates().begin(),
+                       w.sim_->activeGates().end());
+        }
+        bool halted(unsigned) const { return w.sys_->halted(); }
+        bool xStoreFault(unsigned) const { return w.sys_->xStoreFault(); }
+        Memory &memory(unsigned) const { return w.sys_->memory(); }
+        LiveState forkState(unsigned, uint64_t) const { return {*w.sim_}; }
+    };
+
+    /** Kernel calls of the packed frontier: slot l is lane l of the
+     *  worker's PackedSimulator, with its own behavioral memory. */
+    struct PackedKernel {
+        static constexpr unsigned kWidth = PackedSimulator::kLanes;
+        Worker &w;
+
+        void
+        load(unsigned l, const Pending &p) const
+        {
+            if (p.simDelta)
+                w.psim_->loadLaneState(
+                    l, Simulator::materialize(*p.simDelta));
+            else
+                w.psim_->loadLaneState(l, *p.simFull);
+            w.laneMem_[l].restore(p.sysSnap->mem);
+            // Pending paths are never halted or faulted (either would
+            // have ended the parent as a leaf / failure, not a fork).
+            w.haltedMask_ &= ~(uint64_t(1) << l);
+            w.faultMask_ &= ~(uint64_t(1) << l);
+        }
+
+        void
+        step(uint64_t stepped) const
+        {
+            PackedSimulator &ps = *w.psim_;
+            const msp::CpuHandles &h = w.sys_->handles();
+            const scenario::Scenario &scen = w.cfg_.scenario;
+            std::array<Word16, PackedSimulator::kLanes> ports;
+            ports.fill(Word16::allX());
+            for (uint64_t m = stepped; m; m &= m - 1) {
+                unsigned l = unsigned(__builtin_ctzll(m));
+                ports[l] = scen.portWordAt(w.paths_[l].pathCycles);
+            }
+            ps.step([&](PackedSimulator &s) {
+                // driveCycle splatted to all lanes (dead lanes' inputs
+                // are dont-cares: their edges are skipped and their
+                // values never read), then the per-path forces
+                // narrowed to single lanes.
+                s.setInput(h.rstn, V64::splat(V4::One));
+                s.setInput(h.irq, V64::splat(V4::Zero));
+                s.setInputBusLanes(h.portIn, ports);
+                for (uint64_t m = stepped; m; m &= m - 1) {
+                    unsigned l = unsigned(__builtin_ctzll(m));
+                    const Path &P = w.paths_[l];
+                    if (P.applyInit)
+                        for (const auto &[reg, value] : scen.regInit)
+                            s.forceBusLane(h.regs[reg], l,
+                                           Word16::known(value));
+                    if (P.forcedPc != kNoForcedPc)
+                        s.forceBusLane(
+                            h.pc, l,
+                            Word16::known(uint16_t(P.forcedPc)));
+                }
+            });
+            if (w.cfg_.recordActiveSets) {
+                size_t n = w.everActive_.size();
+                for (GateId g = 0; g < n; ++g)
+                    if (ps.activeMask(g) & stepped)
+                        w.everActive_[g] = 1;
+            }
+        }
+
+        Word16
+        bus(const std::vector<GateId> &b, unsigned l) const
+        {
+            return w.psim_->readBusLane(b, l);
+        }
+        int
+        fsmState(unsigned l) const
+        {
+            return w.sys_->fsmStateOf(
+                [&](GateId g) { return w.psim_->valueLane(g, l); });
+        }
+        V4
+        predictSeq(GateId g, unsigned l) const
+        {
+            return w.psim_->predictSeqValueLane(g, l);
+        }
+        double
+        boundEnergyJ(unsigned l) const
+        {
+            return w.psim_->boundEnergyJ(l);
+        }
+        std::vector<double>
+        moduleEnergyJ(unsigned l) const
+        {
+            return w.psim_->moduleBoundEnergyLaneJ(l);
+        }
+        void
+        activeGates(unsigned l, std::vector<uint32_t> &out) const
+        {
+            // Ascending gate id, like the canonicalized scalar
+            // activeGates() view.
+            out.clear();
+            for (GateId g = 0; g < w.everActive_.size(); ++g)
+                if (w.psim_->activeMask(g) >> l & 1)
+                    out.push_back(g);
+        }
+        bool halted(unsigned l) const { return w.haltedMask_ >> l & 1; }
+        bool xStoreFault(unsigned l) const { return w.faultMask_ >> l & 1; }
+        Memory &memory(unsigned l) const { return w.laneMem_[l]; }
+        LaneState
+        forkState(unsigned l, uint64_t abs_cycle) const
+        {
+            return {*w.sim_, w.psim_->extractLaneState(l, abs_cycle)};
+        }
+    };
+
+    /** The pop/steal/idle loop: refill free slots from the own deque,
+     *  then by stealing; advance every live path one cycle; otherwise
+     *  sleep on idleCv. With one slot, a running path costs one mask
+     *  test per cycle and takes no queue lock. */
+    template <class K>
     void
-    captureSim(SharedState &sh,
-               const std::shared_ptr<const Simulator::Snapshot> &base,
-               std::shared_ptr<const Simulator::Snapshot> &out_full,
-               std::shared_ptr<const Simulator::DeltaSnapshot>
-                   &out_delta) const
+    schedule(SharedState &sh, K k)
     {
-        size_t full_bytes = Simulator::bytesOf(*base);
-        sh.snapshotBytesFull.fetch_add(full_bytes,
-                                       std::memory_order_relaxed);
-        if (cfg_.snapshotMode == SnapshotMode::Delta) {
-            Simulator::DeltaSnapshot d = sim_->snapshotDelta(base);
-            if (d.deltaBytes() * kDeltaPromoteDen <=
-                full_bytes * kDeltaPromoteNum) {
-                sh.snapshotBytesCopied.fetch_add(
-                    d.deltaBytes(), std::memory_order_relaxed);
-                out_delta = std::make_shared<
-                    const Simulator::DeltaSnapshot>(std::move(d));
+        constexpr uint64_t kSlots =
+            K::kWidth == 64 ? ~uint64_t(0)
+                            : (uint64_t(1) << K::kWidth) - 1;
+        for (;;) {
+            if (sh.failed.load())
+                break;
+            // Exceptions must not escape a worker thread (that would
+            // terminate the process); convert them into the engine's
+            // normal failure reporting.
+            try {
+                unsigned loaded = 0;
+                for (uint64_t free = kSlots & ~liveMask_; free;
+                     free &= free - 1) {
+                    Pending p;
+                    if (!sh.popOwn(id_, p) &&
+                        !(sh.queues.size() > 1 && sh.stealFrom(id_, p)))
+                        break;
+                    sh.pathsExplored.fetch_add(
+                        1, std::memory_order_relaxed);
+                    load(k, unsigned(__builtin_ctzll(free)), p);
+                    ++loaded;
+                }
+                if (K::kWidth > 1 && loaded)
+                    sh.packedBatches.fetch_add(
+                        1, std::memory_order_relaxed);
+                if (liveMask_) {
+                    step(sh, k);
+                    continue;
+                }
+            } catch (const std::exception &e) {
+                sh.fail(std::string("worker exception: ") + e.what());
+                continue;
+            }
+            // Back off after a failed steal sweep: when workers
+            // outnumber cores, re-spinning over the victims' mutexes
+            // starves the owners mid-push.
+            if (sh.queues.size() > 1)
+                std::this_thread::yield();
+            std::unique_lock<std::mutex> lock(sh.idleMu);
+            sh.idleCv.wait(lock, [&] {
+                return sh.failed.load() || sh.inflight.load() == 0 ||
+                       sh.queued.load(std::memory_order_acquire) > 0;
+            });
+            if (sh.failed.load() || sh.inflight.load() == 0)
+                break;
+        }
+        std::lock_guard<std::mutex> lock(sh.idleMu);
+        sh.idleCv.notify_all();
+    }
+
+    /** Install @p p into slot @p l. */
+    template <class K>
+    void
+    load(const K &k, unsigned l, const Pending &p)
+    {
+        Path &P = paths_[l];
+        static_cast<PathPos &>(P) = p;
+        P.base = p.simDelta ? p.simDelta->base : p.simFull;
+        P.absCycle = p.simDelta ? p.simDelta->cycle : p.simFull->cycle;
+        P.powerW.clear();
+        P.modulePowerW.clear();
+        P.cycleInfo.clear();
+        k.load(l, p);
+        liveMask_ |= uint64_t(1) << l;
+    }
+
+    /** One cycle of every live path: reserve the cycles, step the
+     *  kernel once, then run the per-cycle routine on each path. */
+    template <class K>
+    void
+    step(SharedState &sh, const K &k)
+    {
+        uint64_t stepped = liveMask_;
+        unsigned n = unsigned(__builtin_popcountll(stepped));
+        // Reserve before stepping, so a run is ok exactly when its
+        // scheduling-independent total fits the budget, whatever the
+        // slot width or thread count.
+        if (sh.totalCycles.fetch_add(n, std::memory_order_relaxed) +
+                n > cfg_.maxTotalCycles) {
+            sh.fail("symbolic cycle budget exhausted");
+            return;
+        }
+        for (uint64_t m = stepped; m; m &= m - 1) {
+            if (paths_[__builtin_ctzll(m)].pathCycles >=
+                cfg_.maxPathCycles) {
+                sh.fail("path exceeded maxPathCycles (missing "
+                        "halt or unbounded loop?)");
                 return;
             }
         }
-        sh.snapshotBytesCopied.fetch_add(full_bytes,
-                                         std::memory_order_relaxed);
-        out_full = std::make_shared<const Simulator::Snapshot>(
-            sim_->snapshot());
+        k.step(stepped);
+        cyclesRun += n;
+        if (K::kWidth > 1) {
+            sh.packedSweeps.fetch_add(1, std::memory_order_relaxed);
+            sh.packedLaneCycles.fetch_add(n, std::memory_order_relaxed);
+        }
+        for (uint64_t m = stepped; m; m &= m - 1)
+            if (!cycle(sh, k, unsigned(__builtin_ctzll(m))))
+                return;
+    }
+
+    /** The per-cycle bookkeeping of the path in slot @p l, right after
+     *  the kernel stepped it: Algorithm 2's power assignment, then
+     *  Algorithm 1's checks, ending the path at a halt (leaf) or an X
+     *  next PC (fork). Returns false when the engine failed. */
+    template <class K>
+    bool
+    cycle(SharedState &sh, const K &k, unsigned l)
+    {
+        Path &P = paths_[l];
+        const msp::CpuHandles &h = sys_->handles();
+        const power::PowerContext &ctx = *ctx_;
+        // The post-reset index of the cycle just simulated selects
+        // the operating mode its power is computed at.
+        uint64_t cycleIdx = P.pathCycles++;
+        ++P.absCycle;
+        P.forcedPc = kNoForcedPc; // both forces applied by the step
+        P.applyInit = false;
+
+        Word16 pcNow = k.bus(h.pc, l);
+        if (!pcNow.isFullyKnown()) {
+            sh.fail("PC became X without fork interception");
+            return false;
+        }
+        P.lastPc = pcNow.value;
+        int fsm = k.fsmState(l);
+        if (fsm == msp::kStFetch)
+            P.curInstr = P.lastPc; // the word under fetch
+
+        // ---- Per-cycle Algorithm 2 assignment ----
+        // Under an operating-mode schedule the cycle's energy is
+        // scaled by its mode's (vdd/vdd_lib)^2 and its power uses
+        // the mode's clock; otherwise the classic fixed-point
+        // path (bit-identical: no extra arithmetic).
+        double w;
+        double modeScale = 1.0, modeFreq = ctx.freqHz();
+        if (modeFactors_.empty()) {
+            w = ctx.cyclePowerW(k.boundEnergyJ(l));
+        } else {
+            const std::pair<double, double> &mf =
+                modeFactors_[size_t(cycleIdx % modeFactors_.size())];
+            modeScale = mf.first;
+            modeFreq = mf.second;
+            w = ctx.cyclePowerW(k.boundEnergyJ(l), modeScale, modeFreq);
+        }
+        P.powerW.push_back(float(w));
+        if (cfg_.recordModuleTrace) {
+            std::vector<double> mod =
+                ctx.cycleModulePowerW(k.moduleEnergyJ(l));
+            if (!modeFactors_.empty()) {
+                // Same rescaling per module: (sw_m + static_m)
+                // * scale * f_mode, expressed as a ratio against
+                // the reference-clock value.
+                double ratio = modeScale * (modeFreq / ctx.freqHz());
+                for (double &m : mod)
+                    m *= ratio;
+            }
+            P.modulePowerW.emplace_back(mod.begin(), mod.end());
+            CycleInfo info;
+            info.instrPc = P.curInstr;
+            info.fsmState = uint8_t(fsm < 0 ? 255 : fsm);
+            P.cycleInfo.push_back(info);
+        }
+        uint32_t cyc = uint32_t(P.powerW.size() - 1);
+        if (betterCandidate(w, P.nodeKey, cyc)) {
+            peakPowerW = w;
+            peakNode = P.node;
+            peakCycleInNode = cyc;
+            peakNodeKey = P.nodeKey;
+            if (cfg_.recordActiveSets)
+                k.activeGates(l, peakActive);
+        }
+
+        if (k.xStoreFault(l)) {
+            sh.fail("store with unknown address or enable "
+                    "(X-store); see DESIGN.md section 5");
+            return false;
+        }
+        if (k.halted(l)) {
+            commit(P, true); // leaf: end of this execution path
+            retire(sh, l);
+            return true;
+        }
+        if (fsm == msp::kStHalt) {
+            sh.fail("core trapped (invalid instruction) at "
+                    "pc~0x" + std::to_string(P.lastPc));
+            return false;
+        }
+
+        // ---- Algorithm 1 line 17: will PC_next be X? ----
+        for (GateId g : h.pc)
+            if (k.predictSeq(g, l) == V4::X)
+                return fork(sh, k, l);
+        return true;
     }
 
     // Dedup keys are full-simulator-state + memory + schedule-phase
@@ -404,249 +784,134 @@ class Worker {
     // The scenario schedule phase participates because under a
     // scheduled scenario the same state continues differently at
     // different points of the period.
-    void
-    runPath(SharedState &sh, Pending p)
+    template <class K>
+    bool
+    fork(SharedState &sh, const K &k, unsigned l)
     {
-        msp::System &sys = *sys_;
-        Simulator &sim = *sim_;
-        const msp::CpuHandles &h = sys.handles();
-        power::PowerContext &ctx = *ctx_;
-        const scenario::Scenario &scen = cfg_.scenario;
-
-        std::shared_ptr<const Simulator::Snapshot> base;
-        if (p.simDelta) {
-            sim.restore(*p.simDelta);
-            base = p.simDelta->base;
-        } else {
-            sim.restore(*p.simFull);
-            base = p.simFull;
+        Path &P = paths_[l];
+        // Resolve feasible targets from the (concrete) IR.
+        Word16 ir = k.bus(sys_->handles().ir, l);
+        if (!ir.isFullyKnown()) {
+            sh.fail("X program counter with unknown IR");
+            return false;
         }
-        sys.restore(*p.sysSnap);
+        isa::Decoded dec = isa::decode(ir.value, 0, 0);
+        if (!dec.valid || !isa::isJump(dec.instr.op)) {
+            sh.fail("unresolvable X program counter (op " +
+                    std::string(isa::opName(dec.instr.op)) +
+                    "): indirect jump through unknown data");
+            return false;
+        }
 
-        uint32_t nodeId = p.node;
-        TreeNode *nodePtr = p.nodePtr;
-        uint64_t nodeKey = p.nodeKey;
-        uint32_t forcedPc = p.forcedPc;
-        uint32_t lastPc = p.lastKnownPc;
-        uint32_t curInstr = p.curInstrAddr;
-        uint64_t pathCycles = p.pathCycles;
-        bool applyInit = p.applyInit;
+        // At EXEC of a jump the PC holds the fall-through address.
+        uint32_t fallThrough = P.lastPc;
+        uint32_t taken =
+            (P.lastPc + uint32_t(int32_t(dec.instr.jumpOffsetWords) * 2)) &
+            0xffff;
+        uint32_t targets[2] = {taken, fallThrough};
+        unsigned numTargets = taken == fallThrough ? 1 : 2;
 
-        // Per-cycle data is buffered locally and committed to the
-        // owned tree node at the fork/leaf boundary.
-        std::vector<float> powerW;
-        std::vector<std::vector<float>> modulePowerW;
-        std::vector<CycleInfo> cycleInfo;
+        // Hash keys and capture the fork state before touching any
+        // shared structure: both read only worker-local state, and
+        // they are the heavy part of a fork. The state is hashed once
+        // (target and schedule phase enter via final mixes) and the
+        // snapshots are shared by both child Pendings.
+        auto st = k.forkState(l, P.absCycle);
+        uint64_t keyBase = st.hash();
+        k.memory(l).hashInto(keyBase);
+        keyBase ^= 0xda942042e4dd58b5ull *
+                   (cfg_.scenario.dedupPhase(P.pathCycles) + 1);
+        uint64_t keys[2];
+        for (unsigned t = 0; t < numTargets; ++t)
+            keys[t] = keyBase ^ 0x9e3779b97f4a7c15ull *
+                                    (uint64_t(targets[t]) + 1);
+        std::shared_ptr<const Simulator::Snapshot> childFull;
+        std::shared_ptr<const Simulator::DeltaSnapshot> childDelta;
+        capture(sh, P.base, st, childFull, childDelta);
+        // A forking path is neither halted nor X-store faulted.
+        auto sysSnap = std::make_shared<const msp::System::Snapshot>(
+            msp::System::Snapshot{k.memory(l).snapshot(), false, false});
 
-        auto commitNode = [&](bool ends_halted) {
-            nodePtr->powerW = std::move(powerW);
-            nodePtr->modulePowerW = std::move(modulePowerW);
-            nodePtr->cycleInfo = std::move(cycleInfo);
-            nodePtr->endsHalted = ends_halted;
-        };
+        // Commit this node's trace (we own it; no lock), then
+        // resolve each target against the sharded dedup map.
+        P.nodePtr->branchPc = (P.lastPc - 2) & 0xffff;
+        commit(P, false);
+        if (!resolveFork(sh, P, targets, keys, numTargets, childFull,
+                         childDelta, sysSnap))
+            return false;
+        retire(sh, l); // continuations live on the work queues
+        return true;
+    }
 
-        while (true) {
-            if (sh.failed.load())
-                return;
-            if (sh.totalCycles.load(std::memory_order_relaxed) >=
-                cfg_.maxTotalCycles) {
-                sh.fail("symbolic cycle budget exhausted");
-                return;
-            }
-            if (pathCycles >= cfg_.maxPathCycles) {
-                sh.fail("path exceeded maxPathCycles (missing "
-                        "halt or unbounded loop?)");
-                return;
-            }
-
-            uint32_t applyPc = forcedPc;
-            forcedPc = kNoForcedPc;
-            bool applyRegs = applyInit;
-            applyInit = false;
-            // The post-reset index of the cycle this step simulates
-            // (pathCycles increments right after), which selects the
-            // operating mode the cycle's power is computed at.
-            uint64_t cycleIdx = pathCycles;
-            sim.step([&](Simulator &s) {
-                // Algorithm 1 line 11, generalized: the scenario
-                // says which port bits are X this cycle.
-                sys.driveCycle(s, scen.portWordAt(pathCycles));
-                if (applyRegs) {
-                    // Scenario initial-register constraints: narrow
-                    // the boot-X registers once, right after reset,
-                    // the same way forks narrow the PC.
-                    for (const auto &[reg, value] : scen.regInit)
-                        s.forceBus(h.regs[reg],
-                                   Word16::known(value));
-                }
-                if (applyPc != kNoForcedPc) {
-                    // Algorithm 1's update_PC_next: constrain only the
-                    // PC flops, right after the edge, before fetch
-                    // logic evaluates.
-                    s.forceBus(h.pc, Word16::known(uint16_t(applyPc)));
-                }
-            });
-            sh.totalCycles.fetch_add(1, std::memory_order_relaxed);
-            ++cyclesRun;
-            ++pathCycles;
-
-            Word16 pcNow = sys.readPc(sim);
-            if (pcNow.isFullyKnown()) {
-                lastPc = pcNow.value;
-            } else {
-                sh.fail("PC became X without fork interception");
-                return;
-            }
-            int fsm = sys.fsmState(sim);
-            if (fsm == msp::kStFetch)
-                curInstr = lastPc; // the word under fetch
-
-            // ---- Per-cycle Algorithm 2 assignment ----
-            // Under an operating-mode schedule the cycle's energy is
-            // scaled by its mode's (vdd/vdd_lib)^2 and its power uses
-            // the mode's clock; otherwise the classic fixed-point
-            // path (bit-identical: no extra arithmetic).
-            double w;
-            double modeScale = 1.0, modeFreq = ctx.freqHz();
-            if (modeFactors_.empty()) {
-                w = ctx.cycleBoundPowerW(sim);
-            } else {
-                const std::pair<double, double> &mf = modeFactors_
-                    [size_t(cycleIdx % modeFactors_.size())];
-                modeScale = mf.first;
-                modeFreq = mf.second;
-                w = ctx.cycleBoundPowerW(sim, modeScale, modeFreq);
-            }
-            powerW.push_back(float(w));
-            if (cfg_.recordModuleTrace) {
-                std::vector<double> mod = ctx.cycleModulePowerW(sim);
-                if (!modeFactors_.empty()) {
-                    // Same rescaling per module: (sw_m + static_m)
-                    // * scale * f_mode, expressed as a ratio against
-                    // the reference-clock value.
-                    double ratio =
-                        modeScale * (modeFreq / ctx.freqHz());
-                    for (double &m : mod)
-                        m *= ratio;
-                }
-                modulePowerW.emplace_back(mod.begin(), mod.end());
-                CycleInfo info;
-                info.instrPc = curInstr;
-                info.fsmState = uint8_t(fsm < 0 ? 255 : fsm);
-                cycleInfo.push_back(info);
-            }
-            if (cfg_.recordActiveSets) {
-                for (GateId g : sim.activeGates())
-                    everActive_[g] = 1;
-            }
-            uint32_t cyc = uint32_t(powerW.size() - 1);
-            if (betterCandidate(w, nodeKey, cyc)) {
-                peakPowerW = w;
-                peakNode = nodeId;
-                peakCycleInNode = cyc;
-                peakNodeKey = nodeKey;
-                if (cfg_.recordActiveSets)
-                    peakActive.assign(sim.activeGates().begin(),
-                                      sim.activeGates().end());
-            }
-
-            if (sys.xStoreFault()) {
-                sh.fail("store with unknown address or enable "
-                        "(X-store); see DESIGN.md section 5");
+    /** Capture a fork's simulator state @p st: a delta against
+     * @p base, promoted to a fresh full snapshot when the path has
+     * diverged too far (or always, in Full mode). The choice is a
+     * pure function of path state, so every scheduling captures the
+     * same representations and the byte statistics are
+     * deterministic. */
+    template <class State>
+    void
+    capture(SharedState &sh,
+            const std::shared_ptr<const Simulator::Snapshot> &base,
+            State &st,
+            std::shared_ptr<const Simulator::Snapshot> &out_full,
+            std::shared_ptr<const Simulator::DeltaSnapshot> &out_delta)
+        const
+    {
+        size_t full_bytes = Simulator::bytesOf(*base);
+        sh.snapshotBytesFull.fetch_add(full_bytes,
+                                       std::memory_order_relaxed);
+        if (cfg_.snapshotMode == SnapshotMode::Delta) {
+            Simulator::DeltaSnapshot d = st.delta(base);
+            if (d.deltaBytes() * kDeltaPromoteDen <=
+                full_bytes * kDeltaPromoteNum) {
+                sh.snapshotBytesCopied.fetch_add(
+                    d.deltaBytes(), std::memory_order_relaxed);
+                out_delta = std::make_shared<
+                    const Simulator::DeltaSnapshot>(std::move(d));
                 return;
             }
+        }
+        sh.snapshotBytesCopied.fetch_add(full_bytes,
+                                         std::memory_order_relaxed);
+        out_full = std::make_shared<const Simulator::Snapshot>(st.full());
+    }
 
-            if (sys.halted()) {
-                commitNode(true); // leaf: end of this execution path
-                return;
-            }
-            if (fsm == msp::kStHalt) {
-                sh.fail("core trapped (invalid instruction) at "
-                        "pc~0x" + std::to_string(lastPc));
-                return;
-            }
+    /** Move @p P's buffered traces into its node (owned by this
+     *  worker; no lock). */
+    static void
+    commit(Path &P, bool ends_halted)
+    {
+        P.nodePtr->powerW = std::move(P.powerW);
+        P.nodePtr->modulePowerW = std::move(P.modulePowerW);
+        P.nodePtr->cycleInfo = std::move(P.cycleInfo);
+        P.nodePtr->endsHalted = ends_halted;
+    }
 
-            // ---- Algorithm 1 line 17: will PC_next be X? ----
-            bool pcNextX = false;
-            for (GateId g : h.pc) {
-                if (sim.predictSeqValue(g) == V4::X) {
-                    pcNextX = true;
-                    break;
-                }
-            }
-            if (!pcNextX)
-                continue;
-
-            // Resolve feasible targets from the (concrete) IR.
-            Word16 ir = sys.readIr(sim);
-            if (!ir.isFullyKnown()) {
-                sh.fail("X program counter with unknown IR");
-                return;
-            }
-            isa::Decoded dec = isa::decode(ir.value, 0, 0);
-            if (!dec.valid || !isa::isJump(dec.instr.op)) {
-                sh.fail("unresolvable X program counter (op " +
-                        std::string(isa::opName(dec.instr.op)) +
-                        "): indirect jump through unknown data");
-                return;
-            }
-
-            // At EXEC of a jump the PC holds the fall-through address.
-            uint32_t fallThrough = lastPc;
-            uint32_t taken =
-                (lastPc +
-                 uint32_t(int32_t(dec.instr.jumpOffsetWords) * 2)) &
-                0xffff;
-            uint32_t targets[2] = {taken, fallThrough};
-            unsigned numTargets = taken == fallThrough ? 1 : 2;
-
-            // Hash keys and capture the fork state before touching
-            // any shared structure: both read only worker-local
-            // state, and they are the heavy part of a fork. The
-            // state is hashed once (target and schedule phase enter
-            // via final mixes) and the snapshots are shared by both
-            // child Pendings.
-            uint64_t keyBase = sim.hashFullState();
-            sys.memory().hashInto(keyBase);
-            keyBase ^= 0xda942042e4dd58b5ull *
-                       (scen.dedupPhase(pathCycles) + 1);
-            uint64_t keys[2];
-            for (unsigned t = 0; t < numTargets; ++t)
-                keys[t] = keyBase ^ 0x9e3779b97f4a7c15ull *
-                                        (uint64_t(targets[t]) + 1);
-            std::shared_ptr<const Simulator::Snapshot> childFull;
-            std::shared_ptr<const Simulator::DeltaSnapshot> childDelta;
-            captureSim(sh, base, childFull, childDelta);
-            auto sysSnap =
-                std::make_shared<const msp::System::Snapshot>(
-                    sys.snapshot());
-
-            // Commit this node's trace (we own it; no lock), then
-            // resolve each target against the sharded dedup map.
-            nodePtr->branchPc = (lastPc - 2) & 0xffff;
-            commitNode(false);
-            resolveFork(sh, nodePtr, nodeId, targets, keys,
-                        numTargets, childFull, childDelta, sysSnap,
-                        lastPc, curInstr, pathCycles);
-            return; // continuations live on the work queues
+    /** Free slot @p l and account its path as done. */
+    void
+    retire(SharedState &sh, unsigned l)
+    {
+        paths_[l].base.reset();
+        liveMask_ &= ~(uint64_t(1) << l);
+        if (sh.inflight.fetch_sub(1) == 1) {
+            std::lock_guard<std::mutex> lock(sh.idleMu);
+            sh.idleCv.notify_all();
         }
     }
 
     /** Resolve fork targets against the sharded dedup map, link
-     * edges from @p nodePtr, and enqueue new children on this
-     * worker's deque -- the tail shared by the scalar and packed
-     * forks, so the key -> node semantics cannot diverge. Returns
-     * false when the node budget failed the engine. */
+     * edges from @p P's node, and enqueue new children on this
+     * worker's deque. Returns false when the node budget failed the
+     * engine. */
     bool
     resolveFork(
-        SharedState &sh, TreeNode *nodePtr, uint32_t nodeId,
-        const uint32_t *targets, const uint64_t *keys,
-        unsigned numTargets,
+        SharedState &sh, const Path &P, const uint32_t *targets,
+        const uint64_t *keys, unsigned numTargets,
         const std::shared_ptr<const Simulator::Snapshot> &childFull,
         const std::shared_ptr<const Simulator::DeltaSnapshot>
             &childDelta,
-        const std::shared_ptr<const msp::System::Snapshot> &sysSnap,
-        uint32_t lastPc, uint32_t curInstr, uint64_t pathCycles)
+        const std::shared_ptr<const msp::System::Snapshot> &sysSnap)
     {
         for (unsigned t = 0; t < numTargets; ++t) {
             uint64_t key = keys[t];
@@ -661,7 +926,7 @@ class Worker {
                     // Algorithm 1 line 19: already simulated (or
                     // claimed by a racing worker, which will
                     // simulate the identical continuation); merge.
-                    nodePtr->edges.push_back(
+                    P.nodePtr->edges.push_back(
                         TreeEdge{targets[t], it->second, true});
                     sh.dedupMerges.fetch_add(
                         1, std::memory_order_relaxed);
@@ -678,462 +943,25 @@ class Worker {
                                 "exhausted");
                         return false;
                     }
-                    child = sh.tree->newNode(nodeId);
+                    child = sh.tree->newNode(P.node);
                     childPtr = &sh.tree->node(child);
                 }
                 shard.visited.emplace(key, child);
             }
-            nodePtr->edges.push_back(
+            P.nodePtr->edges.push_back(
                 TreeEdge{targets[t], child, false});
             Pending next;
-            next.simFull = childFull;
-            next.simDelta = childDelta;
-            next.sysSnap = sysSnap;
+            static_cast<PathPos &>(next) = P; // PC and cycle state
             next.node = child;
             next.nodePtr = childPtr;
             next.nodeKey = key;
             next.forcedPc = targets[t];
-            next.lastKnownPc = lastPc;
-            next.curInstrAddr = curInstr;
-            next.pathCycles = pathCycles;
+            next.simFull = childFull;
+            next.simDelta = childDelta;
+            next.sysSnap = sysSnap;
             sh.push(id_, std::move(next));
         }
         return true;
-    }
-
-    // ---- Packed frontier (SymbolicConfig::packedExplore) ----
-    //
-    // Up to 64 pending paths ride the PackedSimulator's lanes at
-    // once: a lane is loaded from a Pending's (delta or full)
-    // snapshot, advanced by the shared level-bucketed sweep until it
-    // reaches its own fork / halt / failure boundary, then transposed
-    // back to a scalar snapshot for the exact same dedup, capture and
-    // commit path runPath takes. The lane-identity invariant of the
-    // packed kernel makes every per-lane byte -- values, activity,
-    // energies, and therefore hashes, keys, traces and snapshots --
-    // equal to the scalar run's, which is the whole bit-identity
-    // argument: same keys => same node set, edges and merge counts;
-    // same traces => same peak/energy/NPE/envelope; same snapshot
-    // bytes => same byte statistics. Only scheduling statistics
-    // (steals, batch/occupancy counters, per-worker cycles) differ.
-
-    /** One lane's in-flight continuation (the live part of a
-     *  Pending, plus the path-local trace buffers of runPath). */
-    struct Lane {
-        bool live = false;
-        bool applyInit = false;
-        uint32_t node = 0;
-        TreeNode *nodePtr = nullptr;
-        uint64_t nodeKey = 0;
-        uint32_t forcedPc = kNoForcedPc;
-        uint32_t lastPc = 0;
-        uint32_t curInstr = 0;
-        uint64_t pathCycles = 0;
-        /** Absolute simulator cycle of the lane (the scalar sim's
-         *  cycle() after restore + steps); stamps extracted
-         *  snapshots so prune engagement and deltas line up. */
-        uint64_t absCycle = 0;
-        /** Snapshot base the lane restored from (delta denominator
-         *  and diff base for this lane's own fork captures). */
-        std::shared_ptr<const Simulator::Snapshot> base;
-        std::vector<float> powerW;
-        std::vector<std::vector<float>> modulePowerW;
-        std::vector<CycleInfo> cycleInfo;
-    };
-
-    /** explore()'s pop/steal/idle protocol with up to 64 paths in
-     *  flight at once. */
-    void
-    explorePacked(SharedState &sh)
-    {
-        for (;;) {
-            if (sh.failed.load())
-                break;
-            // Refill every free lane while work is available; steals
-            // fill lanes the own deque cannot.
-            unsigned loadedNow = 0;
-            uint64_t freeMask = ~liveMask_;
-            while (freeMask) {
-                unsigned l = unsigned(__builtin_ctzll(freeMask));
-                Pending p;
-                bool got = sh.popOwn(id_, p);
-                if (!got && sh.queues.size() > 1)
-                    got = sh.stealFrom(id_, p);
-                if (!got)
-                    break;
-                freeMask &= freeMask - 1;
-                sh.pathsExplored.fetch_add(
-                    1, std::memory_order_relaxed);
-                loadLane(l, std::move(p));
-                ++loadedNow;
-            }
-            if (loadedNow)
-                sh.packedBatches.fetch_add(
-                    1, std::memory_order_relaxed);
-            if (liveMask_) {
-                // Exceptions must not escape the worker thread (see
-                // explore()).
-                try {
-                    stepBatch(sh);
-                } catch (const std::exception &e) {
-                    sh.fail(std::string("worker exception: ") +
-                            e.what());
-                }
-                continue;
-            }
-            std::unique_lock<std::mutex> lock(sh.idleMu);
-            sh.idleCv.wait(lock, [&] {
-                return sh.failed.load() ||
-                       sh.inflight.load() == 0 ||
-                       sh.queued.load(std::memory_order_acquire) > 0;
-            });
-            if (sh.failed.load() || sh.inflight.load() == 0)
-                break;
-        }
-        std::lock_guard<std::mutex> lock(sh.idleMu);
-        sh.idleCv.notify_all();
-    }
-
-    /** Install @p p into lane @p l -- the packed counterpart of
-     *  runPath's restore prologue. */
-    void
-    loadLane(unsigned l, Pending p)
-    {
-        Lane &L = lanes_[l];
-        if (p.simDelta) {
-            Simulator::Snapshot snap =
-                Simulator::materialize(*p.simDelta);
-            psim_->loadLaneState(l, snap);
-            L.absCycle = snap.cycle;
-            L.base = p.simDelta->base;
-        } else {
-            psim_->loadLaneState(l, *p.simFull);
-            L.absCycle = p.simFull->cycle;
-            L.base = p.simFull;
-        }
-        laneMem_[l].restore(p.sysSnap->mem);
-        // Pending paths are never halted or faulted (either would
-        // have ended the parent as a leaf / failure, not a fork).
-        uint64_t bit = uint64_t(1) << l;
-        haltedMask_ &= ~bit;
-        faultMask_ &= ~bit;
-        L.live = true;
-        L.applyInit = p.applyInit;
-        L.node = p.node;
-        L.nodePtr = p.nodePtr;
-        L.nodeKey = p.nodeKey;
-        L.forcedPc = p.forcedPc;
-        L.lastPc = p.lastKnownPc;
-        L.curInstr = p.curInstrAddr;
-        L.pathCycles = p.pathCycles;
-        L.powerW.clear();
-        L.modulePowerW.clear();
-        L.cycleInfo.clear();
-        liveMask_ |= bit;
-    }
-
-    void
-    commitLane(Lane &L, bool ends_halted)
-    {
-        L.nodePtr->powerW = std::move(L.powerW);
-        L.nodePtr->modulePowerW = std::move(L.modulePowerW);
-        L.nodePtr->cycleInfo = std::move(L.cycleInfo);
-        L.nodePtr->endsHalted = ends_halted;
-    }
-
-    /** Free lane @p l and account its path as done (the per-path
-     *  inflight decrement of explore()). */
-    void
-    retireLane(SharedState &sh, unsigned l)
-    {
-        lanes_[l].live = false;
-        lanes_[l].base.reset();
-        liveMask_ &= ~(uint64_t(1) << l);
-        if (sh.inflight.fetch_sub(1) == 1) {
-            std::lock_guard<std::mutex> lock(sh.idleMu);
-            sh.idleCv.notify_all();
-        }
-    }
-
-    /** Per-lane mirror of System::fsmState. */
-    int
-    fsmStateLane(unsigned l) const
-    {
-        const msp::CpuHandles &h = sys_->handles();
-        int found = -1;
-        for (unsigned s = 0; s < msp::kNumStates; ++s) {
-            V4 v = psim_->valueLane(h.state[s], l);
-            if (v == V4::X)
-                return -1;
-            if (v == V4::One) {
-                if (found >= 0)
-                    return -1;
-                found = int(s);
-            }
-        }
-        return found;
-    }
-
-    /** One packed cycle of every live lane: the per-lane mirror of
-     *  one runPath loop iteration (same check order, same failure
-     *  strings), retiring lanes that reach their fork / halt
-     *  boundary this cycle. */
-    void
-    stepBatch(SharedState &sh)
-    {
-        PackedSimulator &ps = *psim_;
-        const msp::CpuHandles &h = sys_->handles();
-        power::PowerContext &ctx = *ctx_;
-        const scenario::Scenario &scen = cfg_.scenario;
-
-        for (uint64_t m = liveMask_; m; m &= m - 1) {
-            Lane &L = lanes_[unsigned(__builtin_ctzll(m))];
-            if (sh.totalCycles.load(std::memory_order_relaxed) >=
-                cfg_.maxTotalCycles) {
-                sh.fail("symbolic cycle budget exhausted");
-                return;
-            }
-            if (L.pathCycles >= cfg_.maxPathCycles) {
-                sh.fail("path exceeded maxPathCycles (missing "
-                        "halt or unbounded loop?)");
-                return;
-            }
-        }
-
-        std::array<Word16, PackedSimulator::kLanes> ports;
-        ports.fill(Word16::allX());
-        for (uint64_t m = liveMask_; m; m &= m - 1) {
-            unsigned l = unsigned(__builtin_ctzll(m));
-            ports[l] = scen.portWordAt(lanes_[l].pathCycles);
-        }
-        uint64_t stepped = liveMask_;
-        ps.step([&](PackedSimulator &s) {
-            // driveCycle splatted to all lanes (dead lanes' inputs
-            // are dont-cares: their edges are skipped and their
-            // values never read), then runPath's per-path forces
-            // narrowed to single lanes.
-            s.setInput(h.rstn, V64::splat(V4::One));
-            s.setInput(h.irq, V64::splat(V4::Zero));
-            s.setInputBusLanes(h.portIn, ports);
-            for (uint64_t m = stepped; m; m &= m - 1) {
-                unsigned l = unsigned(__builtin_ctzll(m));
-                Lane &L = lanes_[l];
-                if (L.applyInit) {
-                    L.applyInit = false;
-                    for (const auto &[reg, value] : scen.regInit)
-                        s.forceBusLane(h.regs[reg], l,
-                                       Word16::known(value));
-                }
-                if (L.forcedPc != kNoForcedPc) {
-                    s.forceBusLane(
-                        h.pc, l,
-                        Word16::known(uint16_t(L.forcedPc)));
-                    L.forcedPc = kNoForcedPc;
-                }
-            }
-        });
-        unsigned nLive = unsigned(__builtin_popcountll(stepped));
-        sh.totalCycles.fetch_add(nLive, std::memory_order_relaxed);
-        sh.packedSweeps.fetch_add(1, std::memory_order_relaxed);
-        sh.packedLaneCycles.fetch_add(nLive,
-                                      std::memory_order_relaxed);
-        cyclesRun += nLive;
-
-        if (cfg_.recordActiveSets) {
-            size_t n = everActive_.size();
-            for (GateId g = 0; g < n; ++g)
-                if (ps.activeMask(g) & stepped)
-                    everActive_[g] = 1;
-        }
-
-        for (uint64_t m = stepped; m; m &= m - 1) {
-            unsigned l = unsigned(__builtin_ctzll(m));
-            uint64_t lbit = uint64_t(1) << l;
-            Lane &L = lanes_[l];
-            uint64_t cycleIdx = L.pathCycles; // mode phase of this step
-            ++L.pathCycles;
-            ++L.absCycle;
-
-            Word16 pcNow = ps.readBusLane(h.pc, l);
-            if (pcNow.isFullyKnown()) {
-                L.lastPc = pcNow.value;
-            } else {
-                sh.fail("PC became X without fork interception");
-                return;
-            }
-            int fsm = fsmStateLane(l);
-            if (fsm == msp::kStFetch)
-                L.curInstr = L.lastPc;
-
-            double w;
-            double modeScale = 1.0, modeFreq = ctx.freqHz();
-            if (modeFactors_.empty()) {
-                w = ctx.cyclePowerW(ps.boundEnergyJ(l));
-            } else {
-                const std::pair<double, double> &mf = modeFactors_
-                    [size_t(cycleIdx % modeFactors_.size())];
-                modeScale = mf.first;
-                modeFreq = mf.second;
-                w = ctx.cyclePowerW(ps.boundEnergyJ(l), modeScale,
-                                    modeFreq);
-            }
-            L.powerW.push_back(float(w));
-            if (cfg_.recordModuleTrace) {
-                std::vector<double> mod = ctx.cycleModulePowerW(
-                    ps.moduleBoundEnergyLaneJ(l));
-                if (!modeFactors_.empty()) {
-                    double ratio =
-                        modeScale * (modeFreq / ctx.freqHz());
-                    for (double &mm : mod)
-                        mm *= ratio;
-                }
-                L.modulePowerW.emplace_back(mod.begin(), mod.end());
-                CycleInfo info;
-                info.instrPc = L.curInstr;
-                info.fsmState = uint8_t(fsm < 0 ? 255 : fsm);
-                L.cycleInfo.push_back(info);
-            }
-            uint32_t cyc = uint32_t(L.powerW.size() - 1);
-            if (betterCandidate(w, L.nodeKey, cyc)) {
-                peakPowerW = w;
-                peakNode = L.node;
-                peakCycleInNode = cyc;
-                peakNodeKey = L.nodeKey;
-                if (cfg_.recordActiveSets) {
-                    // Ascending gate id, like the canonicalized
-                    // scalar activeGates() view.
-                    peakActive.clear();
-                    size_t n = everActive_.size();
-                    for (GateId g = 0; g < n; ++g)
-                        if (ps.activeMask(g) & lbit)
-                            peakActive.push_back(g);
-                }
-            }
-
-            if (faultMask_ & lbit) {
-                sh.fail("store with unknown address or enable "
-                        "(X-store); see DESIGN.md section 5");
-                return;
-            }
-            if (haltedMask_ & lbit) {
-                commitLane(L, /*ends_halted=*/true);
-                retireLane(sh, l);
-                continue;
-            }
-            if (fsm == msp::kStHalt) {
-                sh.fail("core trapped (invalid instruction) at "
-                        "pc~0x" + std::to_string(L.lastPc));
-                return;
-            }
-
-            bool pcNextX = false;
-            for (GateId g : h.pc) {
-                if (ps.predictSeqValueLane(g, l) == V4::X) {
-                    pcNextX = true;
-                    break;
-                }
-            }
-            if (!pcNextX)
-                continue;
-            if (!forkLane(sh, l))
-                return;
-        }
-    }
-
-    /** The fork tail of runPath for lane @p l: resolve targets from
-     *  the lane's (concrete) IR, hash and capture the transposed
-     *  lane state, and hand the children to resolveFork. Returns
-     *  false when the engine failed. */
-    bool
-    forkLane(SharedState &sh, unsigned l)
-    {
-        Lane &L = lanes_[l];
-        PackedSimulator &ps = *psim_;
-        const msp::CpuHandles &h = sys_->handles();
-        const scenario::Scenario &scen = cfg_.scenario;
-
-        Word16 ir = ps.readBusLane(h.ir, l);
-        if (!ir.isFullyKnown()) {
-            sh.fail("X program counter with unknown IR");
-            return false;
-        }
-        isa::Decoded dec = isa::decode(ir.value, 0, 0);
-        if (!dec.valid || !isa::isJump(dec.instr.op)) {
-            sh.fail("unresolvable X program counter (op " +
-                    std::string(isa::opName(dec.instr.op)) +
-                    "): indirect jump through unknown data");
-            return false;
-        }
-
-        uint32_t fallThrough = L.lastPc;
-        uint32_t taken =
-            (L.lastPc +
-             uint32_t(int32_t(dec.instr.jumpOffsetWords) * 2)) &
-            0xffff;
-        uint32_t targets[2] = {taken, fallThrough};
-        unsigned numTargets = taken == fallThrough ? 1 : 2;
-
-        // Same key recipe as the scalar fork, over the transposed
-        // lane state (lane identity makes the hashed bytes equal);
-        // hashSnapshotState applies the prune-basis rule against the
-        // snapshot's own cycle, so --static-prune keys match too.
-        Simulator::Snapshot snap =
-            ps.extractLaneState(l, L.absCycle);
-        uint64_t keyBase = sim_->hashSnapshotState(snap);
-        laneMem_[l].hashInto(keyBase);
-        keyBase ^= 0xda942042e4dd58b5ull *
-                   (scen.dedupPhase(L.pathCycles) + 1);
-        uint64_t keys[2];
-        for (unsigned t = 0; t < numTargets; ++t)
-            keys[t] = keyBase ^ 0x9e3779b97f4a7c15ull *
-                                    (uint64_t(targets[t]) + 1);
-        std::shared_ptr<const Simulator::Snapshot> childFull;
-        std::shared_ptr<const Simulator::DeltaSnapshot> childDelta;
-        captureLane(sh, L, std::move(snap), childFull, childDelta);
-        auto sysSnap = std::make_shared<const msp::System::Snapshot>(
-            msp::System::Snapshot{laneMem_[l].snapshot(),
-                                  /*halted=*/false,
-                                  /*xStoreFault=*/false});
-
-        L.nodePtr->branchPc = (L.lastPc - 2) & 0xffff;
-        commitLane(L, /*ends_halted=*/false);
-        if (!resolveFork(sh, L.nodePtr, L.node, targets, keys,
-                         numTargets, childFull, childDelta, sysSnap,
-                         L.lastPc, L.curInstr, L.pathCycles))
-            return false;
-        retireLane(sh, l);
-        return true;
-    }
-
-    /** captureSim for a transposed lane state: the same promote rule
-     *  and byte statistics, with the delta diffed between snapshots
-     *  (Simulator::deltaBetween) instead of read out of a live
-     *  simulator. */
-    void
-    captureLane(SharedState &sh, Lane &L, Simulator::Snapshot snap,
-                std::shared_ptr<const Simulator::Snapshot> &out_full,
-                std::shared_ptr<const Simulator::DeltaSnapshot>
-                    &out_delta) const
-    {
-        size_t full_bytes = Simulator::bytesOf(*L.base);
-        sh.snapshotBytesFull.fetch_add(full_bytes,
-                                       std::memory_order_relaxed);
-        if (cfg_.snapshotMode == SnapshotMode::Delta) {
-            Simulator::DeltaSnapshot d =
-                Simulator::deltaBetween(snap, L.base);
-            if (d.deltaBytes() * kDeltaPromoteDen <=
-                full_bytes * kDeltaPromoteNum) {
-                sh.snapshotBytesCopied.fetch_add(
-                    d.deltaBytes(), std::memory_order_relaxed);
-                out_delta = std::make_shared<
-                    const Simulator::DeltaSnapshot>(std::move(d));
-                return;
-            }
-        }
-        sh.snapshotBytesCopied.fetch_add(full_bytes,
-                                         std::memory_order_relaxed);
-        out_full = std::make_shared<const Simulator::Snapshot>(
-            std::move(snap));
     }
 
     SymbolicConfig cfg_;
@@ -1145,12 +973,13 @@ class Worker {
     /** Per-schedule-phase (energy scale, clock Hz); empty without
      *  operating modes. */
     std::vector<std::pair<double, double>> modeFactors_;
+    /** In-flight paths, one per kernel slot (1 scalar, 64 packed). */
+    std::vector<Path> paths_;
+    uint64_t liveMask_ = 0; ///< slots holding a path
     /// @name Packed-frontier state (null/empty unless packedExplore)
     /// @{
     std::unique_ptr<PackedSimulator> psim_;
     std::vector<Memory> laneMem_;
-    std::vector<Lane> lanes_;
-    uint64_t liveMask_ = 0;
     uint64_t haltedMask_ = 0;
     uint64_t faultMask_ = 0;
     /// @}

@@ -69,6 +69,8 @@ enum class SnapshotMode : uint8_t {
 
 struct SymbolicConfig {
     double freqHz = 100e6;
+    /** Cycle budget over all paths: the run fails exactly when its
+     *  (scheduling-independent) total cycle count exceeds this. */
     uint64_t maxTotalCycles = 3000000;
     uint64_t maxPathCycles = 100000;
     uint32_t maxNodes = 300000;
@@ -138,7 +140,8 @@ struct SymbolicConfig {
      * paths into lanes (stealing to fill), advances all of them with
      * one level-bucketed packed sweep per cycle, and transposes a
      * lane back to a scalar snapshot when it reaches its next fork /
-     * halt / dedup boundary. Backed by the packed kernel's
+     * halt / dedup boundary. The exploration loop is the scalar one
+     * with 64 slots instead of one. Backed by the packed kernel's
      * lane-identity invariant, every reported number -- peak power,
      * peak energy, NPE, envelope, activity sets, path/merge/snapshot
      * statistics -- is bit-identical to the scalar exploration across

@@ -467,6 +467,15 @@ TEST(Batch, CacheKeyExclusionRules)
     peak::Options mode = base;
     mode.evalMode = EvalMode::FullSweep;
     EXPECT_EQ(peak::cacheKey(lib, img, mode), k0);
+    peak::Options snap = base;
+    snap.snapshotMode = sym::SnapshotMode::Full;
+    EXPECT_EQ(peak::cacheKey(lib, img, snap), k0);
+    peak::Options prune = base;
+    prune.staticPrune = true;
+    EXPECT_EQ(peak::cacheKey(lib, img, prune), k0);
+    peak::Options packed = base;
+    packed.packedExplore = true;
+    EXPECT_EQ(peak::cacheKey(lib, img, packed), k0);
 
     // Result-affecting knobs must.
     peak::Options freq = base;
@@ -475,6 +484,10 @@ TEST(Batch, CacheKeyExclusionRules)
     peak::Options bound = base;
     bound.inputDependentLoopBound = 4;
     EXPECT_NE(peak::cacheKey(lib, img, bound), k0);
+    // The cycle budget decides ok vs. failed, so it must too.
+    peak::Options budget = base;
+    budget.maxTotalCycles = 1000;
+    EXPECT_NE(peak::cacheKey(lib, img, budget), k0);
 
     // Envelope recording changes what an entry must contain, so it
     // (and the window set) participates in the key.

@@ -86,6 +86,29 @@ forkySource(unsigned rounds)
     return test::wrapProgram(body);
 }
 
+/** Port-dependent branches whose two arms take the same number of
+ *  cycles: sibling paths stay in lockstep, so packed lanes fork,
+ *  step and halt together. */
+std::string
+equalArmsSource(unsigned rounds)
+{
+    std::string body;
+    for (unsigned i = 0; i < rounds; ++i) {
+        std::string n = std::to_string(i);
+        body += "        mov &0x0020, r5\n"
+                "        and #1, r5\n"
+                "        jz ea_two_" + n + "\n"
+                "        add #1, r4\n"
+                "        jmp ea_join_" + n + "\n"
+                "ea_two_" + n + ":\n"
+                "        add #2, r4\n"
+                "        jmp ea_join_" + n + "\n"
+                "ea_join_" + n + ":\n";
+    }
+    body += "        mov r4, &0x0130\n";
+    return test::wrapProgram(body);
+}
+
 TEST(SymPacked, SmallFrontierMatchesScalar)
 {
     // Frontier stays below 64 lanes the whole run (a handful of
@@ -199,6 +222,44 @@ TEST(SymPacked, MultiThreadPackedDeterminism)
     packed.numThreads = 3;
     peak::Report rk = peak::analyze(sys, img, packed);
     expectIdenticalReports(r1, rk);
+}
+
+TEST(SymPacked, CycleBudgetIsSchedulingIndependent)
+{
+    // maxTotalCycles bounds the scheduling-independent cycle total: a
+    // run is ok exactly when the total fits, whatever the frontier
+    // width or thread count. Lockstep lanes step many paths in one
+    // sweep, and racing workers step concurrently, so the budget must
+    // be reserved before a step, not checked before and added after.
+    msp::System &sys = test::sharedSystem();
+    isa::Image img = isa::assemble(equalArmsSource(4));
+    peak::Report ref = peak::analyze(sys, img, peak::Options());
+    ASSERT_TRUE(ref.ok) << ref.error;
+    ASSERT_GT(ref.pathsExplored, 8u);
+    const uint64_t total = ref.totalCycles;
+
+    for (bool packed : {false, true}) {
+        for (unsigned threads : {1u, 4u}) {
+            for (int rep = 0; rep < (threads > 1 ? 5 : 1); ++rep) {
+                SCOPED_TRACE(std::string(packed ? "packed" : "scalar") +
+                             " threads=" + std::to_string(threads) +
+                             " rep=" + std::to_string(rep));
+                peak::Options o;
+                o.packedExplore = packed;
+                o.numThreads = threads;
+                o.maxTotalCycles = total;
+                peak::Report fits = peak::analyze(sys, img, o);
+                EXPECT_TRUE(fits.ok) << fits.error;
+                EXPECT_EQ(fits.totalCycles, total);
+
+                o.maxTotalCycles = total - 1;
+                peak::Report over = peak::analyze(sys, img, o);
+                EXPECT_FALSE(over.ok);
+                EXPECT_NE(over.error.find("budget"), std::string::npos)
+                    << over.error;
+            }
+        }
+    }
 }
 
 TEST(SymPacked, LaneStateTransposeRoundTrip)

@@ -11,9 +11,11 @@
  * (the checked-in BENCH_fault_campaign.json at the repository root
  * is a copy).
  *
- * `bench_fault_campaign --min-ratio R` additionally exits 1 if the
- * packed/scalar per-injection throughput ratio falls below R; CI runs
- * it with a conservative floor.
+ * The two engines are timed in at least five alternating pairs (the
+ * order flips every pair) and the reported ratio is the median of the
+ * per-pair ratios, printed with its min/max.
+ * `bench_fault_campaign --min-ratio R` additionally exits 1 if that
+ * median falls below R; CI runs it with a conservative floor.
  */
 
 #include <chrono>
@@ -34,6 +36,7 @@ namespace {
 
 constexpr unsigned kLanes = PackedSimulator::kLanes;
 constexpr unsigned kScalarRuns = 8; ///< scalar reference subset
+constexpr int kPairs = 5; ///< alternating scalar/packed timings
 
 struct Measurement {
     double sec = 0.0;
@@ -133,55 +136,77 @@ main(int argc, char **argv)
 
     // Scalar reference: the first kScalarRuns injections, one faulted
     // lockstep run each. These double as the identity check below.
-    Measurement scalar;
-    std::vector<fault::FaultResult> refs(kScalarRuns);
-    {
+    auto timeScalar = [&](std::vector<fault::FaultResult> &refs) {
+        Measurement m;
         auto t0 = std::chrono::steady_clock::now();
         for (unsigned l = 0; l < kScalarRuns; ++l) {
             refs[l] = fault::runFaulted(sys, image, lanes[l], ropts);
-            scalar.gateCycles += refs[l].gateCycles;
+            m.gateCycles += refs[l].gateCycles;
         }
-        auto t1 = std::chrono::steady_clock::now();
-        scalar.sec = std::chrono::duration<double>(t1 - t0).count();
-        scalar.injections = kScalarRuns;
-    }
-
+        m.sec = std::chrono::duration<double>(
+                    std::chrono::steady_clock::now() - t0)
+                    .count();
+        m.injections = kScalarRuns;
+        return m;
+    };
     // Packed batch: all 64 faulted runs in one sweep.
-    Measurement packed;
-    std::array<fault::FaultResult, kLanes> pr;
-    {
+    auto timePacked = [&](std::array<fault::FaultResult, kLanes> &pr) {
+        Measurement m;
         auto t0 = std::chrono::steady_clock::now();
         pr = fault::runFaultedPacked(sys, image, lanes, ropts);
-        auto t1 = std::chrono::steady_clock::now();
-        packed.sec = std::chrono::duration<double>(t1 - t0).count();
-        packed.injections = kLanes;
+        m.sec = std::chrono::duration<double>(
+                    std::chrono::steady_clock::now() - t0)
+                    .count();
+        m.injections = kLanes;
         for (unsigned l = 0; l < kLanes; ++l)
-            packed.gateCycles += pr[l].gateCycles;
-    }
+            m.gateCycles += pr[l].gateCycles;
+        return m;
+    };
 
-    // Trust the timing only if the timed lanes classify identically
-    // to the timed scalar runs (outcome, divergence anatomy, power).
-    for (unsigned l = 0; l < kScalarRuns; ++l) {
-        if (!refs[l].sameClassification(pr[l])) {
-            std::fprintf(stderr,
-                         "FATAL: packed lane %u classifies "
-                         "differently from the scalar run of the "
-                         "same injection (%s vs %s)\n",
-                         l, fault::outcomeName(pr[l].outcome),
-                         fault::outcomeName(refs[l].outcome));
-            return 1;
+    std::vector<double> scalarRates, packedRates, scalarWalls,
+        packedWalls;
+    bench_util::PairedRatio ratio;
+    Measurement scalar, packed;
+    for (int i = 0; i < kPairs; ++i) {
+        std::vector<fault::FaultResult> refs(kScalarRuns);
+        std::array<fault::FaultResult, kLanes> pr;
+        if (i % 2 == 0) {
+            scalar = timeScalar(refs);
+            packed = timePacked(pr);
+        } else {
+            packed = timePacked(pr);
+            scalar = timeScalar(refs);
         }
+        // Trust the timing only if the timed lanes classify
+        // identically to the timed scalar runs (outcome, divergence
+        // anatomy, power).
+        for (unsigned l = 0; l < kScalarRuns; ++l) {
+            if (!refs[l].sameClassification(pr[l])) {
+                std::fprintf(stderr,
+                             "FATAL: packed lane %u classifies "
+                             "differently from the scalar run of the "
+                             "same injection (%s vs %s)\n",
+                             l, fault::outcomeName(pr[l].outcome),
+                             fault::outcomeName(refs[l].outcome));
+                return 1;
+            }
+        }
+        scalarRates.push_back(scalar.injectionsPerSec());
+        packedRates.push_back(packed.injectionsPerSec());
+        scalarWalls.push_back(scalar.sec);
+        packedWalls.push_back(packed.sec);
+        ratio.ratios.push_back(packed.injectionsPerSec() /
+                               scalar.injectionsPerSec());
     }
 
-    double ratio = scalar.injectionsPerSec() > 0
-                       ? packed.injectionsPerSec() /
-                             scalar.injectionsPerSec()
-                       : 0.0;
     std::printf("%-16s %10s %16s %16s %9s\n", "workload", "inj",
                 "scalar inj/s", "packed inj/s", "ratio");
     std::printf("%-16s %7u/%2u %16.1f %16.1f %8.2fx\n", "mult",
-                kScalarRuns, kLanes, scalar.injectionsPerSec(),
-                packed.injectionsPerSec(), ratio);
+                kScalarRuns, kLanes, bench_util::median(scalarRates),
+                bench_util::median(packedRates), ratio.med());
+    std::printf("packed/scalar ratio over %d alternating pairs: median "
+                "%.2fx (min %.2fx, max %.2fx)\n",
+                kPairs, ratio.med(), ratio.min(), ratio.max());
 
     char json[2048];
     std::snprintf(
@@ -201,24 +226,30 @@ main(int argc, char **argv)
         "injection, sequentially; packed = one "
         "fault::runFaultedPacked sweep carrying all 64 injections; "
         "injections/sec = faulted lockstep runs / wall seconds; the "
+        "two are timed in %d alternating pairs, walls and rates are "
+        "medians and the ratio is the median per-pair ratio; the "
         "timed packed lanes are checked classification-identical "
         "(outcome, divergence cycle, instruction index, peak power "
-        "float) to the timed scalar runs before the ratio is "
-        "reported\",\n"
+        "float) to the timed scalar runs in every pair\",\n"
         "  \"scalar\": {\"injections\": %llu, \"gate_cycles\": %llu, "
         "\"wall_s\": %.4f, \"injections_per_sec\": %.1f},\n"
         "  \"packed\": {\"injections\": %llu, \"gate_cycles\": %llu, "
         "\"wall_s\": %.4f, \"injections_per_sec\": %.1f},\n"
-        "  \"per_injection_throughput_ratio\": %.2f\n"
+        "  \"per_injection_throughput_ratio\": %.2f,\n"
+        "  \"ratio_pairs\": {\"pairs\": %d, \"median\": %.2f, "
+        "\"min\": %.2f, \"max\": %.2f}\n"
         "}\n",
         (unsigned long long)golden.gateCycles, kScalarRuns, kLanes,
-        std::thread::hardware_concurrency(),
+        std::thread::hardware_concurrency(), kPairs,
         (unsigned long long)scalar.injections,
-        (unsigned long long)scalar.gateCycles, scalar.sec,
-        scalar.injectionsPerSec(),
+        (unsigned long long)scalar.gateCycles,
+        bench_util::median(scalarWalls),
+        bench_util::median(scalarRates),
         (unsigned long long)packed.injections,
-        (unsigned long long)packed.gateCycles, packed.sec,
-        packed.injectionsPerSec(), ratio);
+        (unsigned long long)packed.gateCycles,
+        bench_util::median(packedWalls),
+        bench_util::median(packedRates), ratio.med(), kPairs,
+        ratio.med(), ratio.min(), ratio.max());
 
     std::ofstream out(bench_util::outDir() +
                       "BENCH_fault_campaign.json");
@@ -226,11 +257,11 @@ main(int argc, char **argv)
     std::printf("wrote %sBENCH_fault_campaign.json\n",
                 bench_util::outDir().c_str());
 
-    if (min_ratio > 0.0 && ratio < min_ratio) {
+    if (min_ratio > 0.0 && ratio.med() < min_ratio) {
         std::fprintf(stderr,
-                     "FATAL: per-injection throughput ratio %.2fx is "
-                     "below the required %.2fx\n",
-                     ratio, min_ratio);
+                     "FATAL: median per-injection throughput ratio "
+                     "%.2fx is below the required %.2fx\n",
+                     ratio.med(), min_ratio);
         return 1;
     }
     return 0;

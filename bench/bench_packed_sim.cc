@@ -9,9 +9,11 @@
  * machine-readable results in bench_out/BENCH_packed_sim.json (the
  * checked-in BENCH_packed_sim.json at the repository root is a copy).
  *
- * `bench_packed_sim --min-ratio R` additionally exits 1 if the
- * packed/scalar per-pattern throughput ratio falls below R; CI runs it
- * with `--min-ratio 8`.
+ * The two paths are timed in at least five alternating pairs (the
+ * order flips every pair) and the reported ratio is the median of the
+ * per-pair ratios, printed with its min/max.
+ * `bench_packed_sim --min-ratio R` additionally exits 1 if that
+ * median falls below R; CI runs it with `--min-ratio 8`.
  */
 
 #include <chrono>
@@ -33,6 +35,7 @@ constexpr unsigned kLanes = PackedSimulator::kLanes;
 constexpr uint64_t kMaxCycles = 3000;
 constexpr unsigned kScalarLanes = 8; ///< scalar reference subset
 constexpr unsigned kScheduleLen = 16;
+constexpr int kPairs = 5; ///< alternating scalar/packed timings
 
 struct Measurement {
     double sec = 0.0;
@@ -98,57 +101,77 @@ main(int argc, char **argv)
 
     // Scalar reference: the first kScalarLanes schedules, one run
     // each. These results double as the lane-identity check below.
-    Measurement scalar;
-    std::vector<power::ConcreteRunResult> refs(kScalarLanes);
-    {
+    auto timeScalar = [&](std::vector<power::ConcreteRunResult> &refs) {
+        Measurement m;
         auto t0 = std::chrono::steady_clock::now();
         for (unsigned l = 0; l < kScalarLanes; ++l) {
             power::ConcreteRunOptions copts;
             copts.maxCycles = kMaxCycles;
             copts.portSchedule = popts.portSchedules[l];
             refs[l] = power::runConcrete(sys, image, ctx, copts);
-            scalar.patternCycles += refs[l].traceW.size();
+            m.patternCycles += refs[l].traceW.size();
         }
-        auto t1 = std::chrono::steady_clock::now();
-        scalar.sec = std::chrono::duration<double>(t1 - t0).count();
-    }
-
+        m.sec = std::chrono::duration<double>(
+                    std::chrono::steady_clock::now() - t0)
+                    .count();
+        return m;
+    };
     // Packed batch: all 64 schedules in one sweep.
-    Measurement packed;
-    power::PackedRunResult pr;
-    {
+    auto timePacked = [&](power::PackedRunResult &pr) {
+        Measurement m;
         auto t0 = std::chrono::steady_clock::now();
         pr = power::runConcretePacked(sys, image, ctx, popts);
-        auto t1 = std::chrono::steady_clock::now();
-        packed.sec = std::chrono::duration<double>(t1 - t0).count();
+        m.sec = std::chrono::duration<double>(
+                    std::chrono::steady_clock::now() - t0)
+                    .count();
         for (unsigned l = 0; l < kLanes; ++l)
-            packed.patternCycles += pr.lanes[l].traceW.size();
-    }
+            m.patternCycles += pr.lanes[l].traceW.size();
+        return m;
+    };
 
-    // Trust the timing only if the timed lanes are float-identical to
-    // the timed scalar runs.
-    for (unsigned l = 0; l < kScalarLanes; ++l) {
-        if (refs[l].halted != pr.lanes[l].halted ||
-            refs[l].traceW != pr.lanes[l].traceW ||
-            refs[l].totalEnergyJ != pr.lanes[l].totalEnergyJ) {
-            std::fprintf(stderr,
-                         "FATAL: packed lane %u diverges from the "
-                         "scalar run of the same schedule\n",
-                         l);
-            return 1;
+    std::vector<double> scalarRates, packedRates, scalarWalls,
+        packedWalls;
+    bench_util::PairedRatio ratio;
+    Measurement scalar, packed;
+    for (int i = 0; i < kPairs; ++i) {
+        std::vector<power::ConcreteRunResult> refs(kScalarLanes);
+        power::PackedRunResult pr;
+        if (i % 2 == 0) {
+            scalar = timeScalar(refs);
+            packed = timePacked(pr);
+        } else {
+            packed = timePacked(pr);
+            scalar = timeScalar(refs);
         }
+        // Trust the timing only if the timed lanes are float-identical
+        // to the timed scalar runs.
+        for (unsigned l = 0; l < kScalarLanes; ++l) {
+            if (refs[l].halted != pr.lanes[l].halted ||
+                refs[l].traceW != pr.lanes[l].traceW ||
+                refs[l].totalEnergyJ != pr.lanes[l].totalEnergyJ) {
+                std::fprintf(stderr,
+                             "FATAL: packed lane %u diverges from the "
+                             "scalar run of the same schedule\n",
+                             l);
+                return 1;
+            }
+        }
+        scalarRates.push_back(scalar.perPatternCyclesPerSec());
+        packedRates.push_back(packed.perPatternCyclesPerSec());
+        scalarWalls.push_back(scalar.sec);
+        packedWalls.push_back(packed.sec);
+        ratio.ratios.push_back(packed.perPatternCyclesPerSec() /
+                               scalar.perPatternCyclesPerSec());
     }
 
-    double ratio = scalar.perPatternCyclesPerSec() > 0
-                       ? packed.perPatternCyclesPerSec() /
-                             scalar.perPatternCyclesPerSec()
-                       : 0.0;
     std::printf("%-16s %10s %16s %16s %9s\n", "workload", "lanes",
                 "scalar pat-c/s", "packed pat-c/s", "ratio");
     std::printf("%-16s %7u/%2u %16.0f %16.0f %8.2fx\n", "stressmark",
-                kScalarLanes, kLanes,
-                scalar.perPatternCyclesPerSec(),
-                packed.perPatternCyclesPerSec(), ratio);
+                kScalarLanes, kLanes, bench_util::median(scalarRates),
+                bench_util::median(packedRates), ratio.med());
+    std::printf("packed/scalar ratio over %d alternating pairs: median "
+                "%.2fx (min %.2fx, max %.2fx)\n",
+                kPairs, ratio.med(), ratio.min(), ratio.max());
 
     char json[2048];
     std::snprintf(
@@ -167,32 +190,38 @@ main(int argc, char **argv)
         "schedule, sequentially; packed = one "
         "power::runConcretePacked sweep carrying all 64 schedules; "
         "per-pattern cycles/sec = sum of recorded per-lane trace "
-        "cycles / wall seconds; the timed packed lanes are checked "
-        "float-identical to the timed scalar runs before the ratio "
-        "is reported\",\n"
+        "cycles / wall seconds; the two are timed in %d alternating "
+        "pairs, walls and rates are medians and the ratio is the "
+        "median per-pair ratio; the timed packed lanes are checked "
+        "float-identical to the timed scalar runs in every pair\",\n"
         "  \"scalar\": {\"pattern_cycles\": %llu, \"wall_s\": %.4f, "
         "\"pattern_cycles_per_sec\": %.0f},\n"
         "  \"packed\": {\"pattern_cycles\": %llu, \"wall_s\": %.4f, "
         "\"pattern_cycles_per_sec\": %.0f},\n"
-        "  \"per_pattern_throughput_ratio\": %.2f\n"
+        "  \"per_pattern_throughput_ratio\": %.2f,\n"
+        "  \"ratio_pairs\": {\"pairs\": %d, \"median\": %.2f, "
+        "\"min\": %.2f, \"max\": %.2f}\n"
         "}\n",
         kScheduleLen, (unsigned long long)kMaxCycles, kScalarLanes,
-        kLanes, std::thread::hardware_concurrency(),
-        (unsigned long long)scalar.patternCycles, scalar.sec,
-        scalar.perPatternCyclesPerSec(),
-        (unsigned long long)packed.patternCycles, packed.sec,
-        packed.perPatternCyclesPerSec(), ratio);
+        kLanes, std::thread::hardware_concurrency(), kPairs,
+        (unsigned long long)scalar.patternCycles,
+        bench_util::median(scalarWalls),
+        bench_util::median(scalarRates),
+        (unsigned long long)packed.patternCycles,
+        bench_util::median(packedWalls),
+        bench_util::median(packedRates), ratio.med(), kPairs,
+        ratio.med(), ratio.min(), ratio.max());
 
     std::ofstream out(bench_util::outDir() + "BENCH_packed_sim.json");
     out << json;
     std::printf("wrote %sBENCH_packed_sim.json\n",
                 bench_util::outDir().c_str());
 
-    if (min_ratio > 0.0 && ratio < min_ratio) {
+    if (min_ratio > 0.0 && ratio.med() < min_ratio) {
         std::fprintf(stderr,
-                     "FATAL: per-pattern throughput ratio %.2fx is "
-                     "below the required %.2fx\n",
-                     ratio, min_ratio);
+                     "FATAL: median per-pattern throughput ratio %.2fx "
+                     "is below the required %.2fx\n",
+                     ratio.med(), min_ratio);
         return 1;
     }
     return 0;

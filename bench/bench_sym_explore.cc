@@ -79,14 +79,6 @@ forkStressSource(unsigned rounds)
     return bench430::wrapBenchmarkBody(body);
 }
 
-double
-median(std::vector<double> v)
-{
-    std::sort(v.begin(), v.end());
-    size_t n = v.size();
-    return n % 2 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
-}
-
 } // namespace
 } // namespace ulpeak
 
@@ -181,7 +173,8 @@ main(int argc, char **argv)
     peak::Options packed1;
     packed1.packedExplore = true;
     int pairs = std::max(reps, 5);
-    std::vector<double> scalar1Walls, packed1Walls, pairRatios;
+    std::vector<double> scalar1Walls, packed1Walls;
+    bench_util::PairedRatio pairRatios;
     peak::Report packed1Rep;
     for (int i = 0; i < pairs; ++i) {
         peak::Report scalarRep;
@@ -195,13 +188,11 @@ main(int argc, char **argv)
         }
         scalar1Walls.push_back(ws);
         packed1Walls.push_back(wp);
-        pairRatios.push_back(ws / wp);
+        pairRatios.ratios.push_back(ws / wp);
     }
-    double ratio1t = median(pairRatios);
-    double ratio1tMin =
-        *std::min_element(pairRatios.begin(), pairRatios.end());
-    double ratio1tMax =
-        *std::max_element(pairRatios.begin(), pairRatios.end());
+    double ratio1t = pairRatios.med();
+    double ratio1tMin = pairRatios.min();
+    double ratio1tMax = pairRatios.max();
 
     std::printf("%-8s %10s %12s %12s %8s\n", "threads", "wall [s]",
                 "forks/sec", "cycles/sec", "scaling");

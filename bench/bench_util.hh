@@ -9,6 +9,7 @@
 #ifndef ULPEAK_BENCH_BENCH_UTIL_HH
 #define ULPEAK_BENCH_BENCH_UTIL_HH
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -46,6 +47,37 @@ avgPctLower(const std::vector<double> &ours,
         sum += 1.0 - ours[i] / baseline[i];
     return 100.0 * sum / double(ours.size());
 }
+
+/** Median of @p v (mean of the middle two for even sizes). */
+inline double
+median(std::vector<double> v)
+{
+    std::sort(v.begin(), v.end());
+    size_t n = v.size();
+    return n % 2 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
+}
+
+/**
+ * A ratio measured as alternating (A, B) pairs -- the order flips
+ * every pair, so adjacent runs see the same host speed and drift
+ * between phases does not move the ratio. The gate reads the median
+ * of the per-pair ratios; min/max report the spread.
+ */
+struct PairedRatio {
+    std::vector<double> ratios;
+
+    double med() const { return median(ratios); }
+    double
+    min() const
+    {
+        return *std::min_element(ratios.begin(), ratios.end());
+    }
+    double
+    max() const
+    {
+        return *std::max_element(ratios.begin(), ratios.end());
+    }
+};
 
 } // namespace bench_util
 } // namespace ulpeak

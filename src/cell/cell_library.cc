@@ -154,6 +154,37 @@ evalCell(CellKind k, const V4 *in)
     }
 }
 
+namespace {
+
+CellTruthTable
+buildTruthTable()
+{
+    CellTruthTable t;
+    for (size_t k = 0; k < kNumCellKinds; ++k) {
+        CellKind kind = CellKind(k);
+        for (unsigned idx = 0; idx < 256; ++idx) {
+            V4 in[4];
+            bool valid = true;
+            for (unsigned p = 0; p < 4; ++p) {
+                unsigned bits = (idx >> (2 * p)) & 3;
+                valid &= bits <= unsigned(V4::X);
+                in[p] = V4(bits);
+            }
+            if (!valid || isSequential(kind))
+                t[k][idx] = V4::X; // unreachable index / not a table kind
+            else if (kind == CellKind::Input)
+                t[k][idx] = in[0];
+            else
+                t[k][idx] = evalCell(kind, in);
+        }
+    }
+    return t;
+}
+
+} // namespace
+
+const CellTruthTable kCellTruthTable = buildTruthTable();
+
 V4
 evalSeqCell(CellKind k, V4 q, const V4 *in, bool &held)
 {

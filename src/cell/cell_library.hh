@@ -85,6 +85,30 @@ const char *cellName(CellKind k);
 V4 evalCell(CellKind k, const V4 *in);
 
 /**
+ * evalCell as a lookup table, for the event-driven kernel's
+ * branch-free evaluation: entry [k][idx] is the output of kind @p k
+ * for pins packed by cellTableIndex (two bits per pin, V4's 0/1/X
+ * encoding). The table is generated from evalCell itself at
+ * static-init time, so the two cannot disagree
+ * (tests/test_cell_library.cc checks every {0,1,X}^nin input). Rows
+ * of the combinational kinds and Const0/Const1 come from evalCell; the
+ * Input row is the identity on pin 0 (an input holds the value it was
+ * driven to, and the kernel passes the input itself as pin 0); rows of
+ * sequential kinds are all X. Pins beyond a kind's fanin count are
+ * don't-cares.
+ */
+using CellTruthTable = std::array<std::array<V4, 256>, kNumCellKinds>;
+extern const CellTruthTable kCellTruthTable;
+
+/** Index of pins (a, b, c, d) into a kCellTruthTable row. */
+constexpr unsigned
+cellTableIndex(V4 a, V4 b, V4 c, V4 d)
+{
+    return unsigned(a) | unsigned(b) << 2 | unsigned(c) << 4 |
+           unsigned(d) << 6;
+}
+
+/**
  * Compute the next state of a sequential cell at a clock edge.
  *
  * @param k     sequential cell kind

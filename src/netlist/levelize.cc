@@ -147,13 +147,14 @@ class Levelizer {
 
         f.kind.resize(n);
         f.nin.resize(n);
-        f.maxE.resize(n);
+        f.energy.resize(n);
         f.faninOffset.assign(n + 1, 0);
         for (GateId g = 0; g < n; ++g) {
             const Gate &gate = nl.gates_[g];
             f.kind[g] = gate.kind;
             f.nin[g] = gate.nin;
-            f.maxE[g] = std::max(nl.riseE_[g], nl.fallE_[g]);
+            f.energy[g] = {nl.riseE_[g], nl.fallE_[g],
+                           std::max(nl.riseE_[g], nl.fallE_[g])};
             f.faninOffset[g + 1] = f.faninOffset[g] + gate.nin;
         }
         f.fanin.resize(f.faninOffset[n]);
@@ -264,6 +265,35 @@ class Levelizer {
         for (GateId g = 0; g < n; ++g)
             if (isSequential(nl.gates_[g].kind))
                 f.levelOfNode[g] = kNoLevel;
+
+        // The event kernel's records, one per schedule position.
+        f.fanoutPos.resize(f.fanout.size());
+        for (size_t i = 0; i < f.fanout.size(); ++i)
+            f.fanoutPos[i] = f.posOfNode[f.fanout[i]];
+        f.nodeRec.resize(f.schedule.size());
+        for (uint32_t pos = 0; pos < f.schedule.size(); ++pos) {
+            uint32_t node = f.schedule[pos];
+            FlatNetlist::NodeRec &r = f.nodeRec[pos];
+            r.node = node;
+            if (node >= n) {
+                r.kind = FlatNetlist::kHookKind;
+                r.xActive = 0;
+                r.in = {0, 0, 0, 0};
+                r.fanoutBegin = r.fanoutEnd = 0;
+                r.seqBegin = r.seqEnd = 0;
+                continue;
+            }
+            const Gate &gate = nl.gates_[node];
+            r.kind = gate.kind;
+            r.xActive = gate.kind == CellKind::Input;
+            GateId pin0 = gate.nin ? gate.in[0] : node;
+            for (unsigned p = 0; p < 4; ++p)
+                r.in[p] = p < gate.nin ? gate.in[p] : pin0;
+            r.fanoutBegin = f.fanoutOffset[node];
+            r.fanoutEnd = f.fanoutOffset[node + 1];
+            r.seqBegin = f.seqFanoutOffset[node];
+            r.seqEnd = f.seqFanoutOffset[node + 1];
+        }
     }
 };
 

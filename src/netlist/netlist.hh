@@ -77,10 +77,13 @@ constexpr uint32_t kNoLevel = std::numeric_limits<uint32_t>::max();
  * hook; a combinational gate one level above its deepest fanin. Within
  * a level no node depends on another, so any within-level order is a
  * valid topological order; @ref schedule stores levels contiguously,
- * ascending node id within each level. The full-sweep kernel walks
- * @ref schedule front to back; the event-driven kernel drains dirty
- * nodes level by level in arbitrary within-level order (the simulator
- * canonicalizes its activity list afterwards).
+ * ascending node id within each level. Every fanout of a node sits at
+ * a strictly higher level, hence at a strictly higher schedule
+ * position. The full-sweep kernel walks @ref schedule front to back;
+ * the event-driven kernel drains a dirty bitmap over schedule
+ * positions in one ascending scan (sound because evaluating a node
+ * only ever marks higher positions), so both visit nodes in the same
+ * order.
  */
 struct FlatNetlist {
     uint32_t numGates = 0;
@@ -123,8 +126,35 @@ struct FlatNetlist {
                                        ///< for seq
     /// @}
 
-    /** max(riseE, fallE) per gate [J] (Algorithm 2's maxTransition). */
-    std::vector<double> maxE;
+    /**
+     * Per gate {riseE, fallE, max(riseE, fallE)} [J]: the three
+     * energies Algorithm 2 picks from (the max is maxTransition).
+     */
+    std::vector<std::array<double, 3>> energy;
+
+    /**
+     * The event-driven kernel's view of one schedule position: all it
+     * reads to evaluate the node and mark its consumers, in one
+     * record. Fanins are padded to four pins (a missing pin repeats
+     * pin 0, which leaves both the cell function and the OR of fanin
+     * activity unchanged); Const and Input gates, which have no
+     * fanins, name themselves as every pin.
+     */
+    struct NodeRec {
+        uint32_t node; ///< gate id, or numGates + hook id
+        CellKind kind; ///< kHookKind for a behavioral hook
+        /** 1 for Input gates: an unknown input counts as active even
+         *  without an active fanin (Section 3.1). */
+        uint8_t xActive;
+        std::array<GateId, 4> in;     ///< padded fanins
+        uint32_t fanoutBegin, fanoutEnd; ///< into fanout / fanoutPos
+        uint32_t seqBegin, seqEnd;    ///< into seqFanout
+    };
+    /** NodeRec::kind of a behavioral hook. */
+    static constexpr CellKind kHookKind = CellKind::NumKinds;
+    std::vector<NodeRec> nodeRec; ///< [schedule.size()], by position
+    /** Parallel to @ref fanout: the consumer's schedule position. */
+    std::vector<uint32_t> fanoutPos;
 
     uint32_t numNodes() const { return numGates + numHooks; }
 };

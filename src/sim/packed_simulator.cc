@@ -71,6 +71,23 @@ packedEvalCell(CellKind k, const V64 *in)
     }
 }
 
+/**
+ * Algorithm 2's choice for lane @p l of a gate whose previous or
+ * current value is X, as an index into its {rise, fall, max}
+ * energies: a known previous value p is assigned the transition to
+ * !p, a known current value c the transition from !c, and X -> X the
+ * maximum.
+ */
+inline unsigned
+xPick(uint64_t pv, uint64_t pk, uint64_t cv, uint64_t ck, unsigned l)
+{
+    unsigned pKnown = (pk >> l) & 1, cKnown = (ck >> l) & 1;
+    unsigned p = (pv >> l) & 1, c = (cv >> l) & 1;
+    // p known: rise (0) from 0, fall (1) from 1. c known: rise (0)
+    // into 1, fall (1) into 0. Neither: max (2).
+    return pKnown ? p : cKnown ? (c ^ 1) : 2;
+}
+
 } // namespace
 
 PackedSimulator::PackedSimulator(const Netlist &nl)
@@ -91,7 +108,7 @@ PackedSimulator::PackedSimulator(const Netlist &nl)
     for (GateId g = 0; g < n; ++g)
         topModuleOf_[g] = nl.topLevelModuleOf(nl.gate(g).module);
     hookFns_.resize(nl.hooks().size());
-    moduleEnergy_.assign(size_t(nl.numModules()) * kLanes, 0.0);
+    behavioralModule_.assign(size_t(nl.numModules()) * kLanes, 0.0);
 }
 
 void
@@ -176,6 +193,8 @@ PackedSimulator::readBusLane(const std::vector<GateId> &bus,
 std::vector<double>
 PackedSimulator::moduleBoundEnergyLaneJ(unsigned lane) const
 {
+    if (!moduleEnergyValid_)
+        computeModuleSplit();
     size_t nmod = moduleEnergy_.size() / kLanes;
     std::vector<double> out(nmod);
     for (size_t m = 0; m < nmod; ++m)
@@ -187,7 +206,8 @@ void
 PackedSimulator::addBehavioralEnergyJ(double j, ModuleId top_module,
                                       uint64_t lane_mask)
 {
-    double *modrow = &moduleEnergy_[size_t(top_module) * kLanes];
+    lane_mask &= energyLanes_;
+    double *modrow = &behavioralModule_[size_t(top_module) * kLanes];
     while (lane_mask) {
         unsigned l = unsigned(__builtin_ctzll(lane_mask));
         lane_mask &= lane_mask - 1;
@@ -274,17 +294,16 @@ PackedSimulator::evalSeqGate(size_t i)
 }
 
 void
-PackedSimulator::evalNode(uint32_t node)
+PackedSimulator::evalNode(const FlatNetlist::NodeRec &r)
 {
-    const FlatNetlist &f = *flat_;
-    if (node >= f.numGates) {
-        HookFn &fn = hookFns_[node - f.numGates];
+    if (r.kind == FlatNetlist::kHookKind) {
+        HookFn &fn = hookFns_[r.node - flat_->numGates];
         if (fn)
             fn(*this);
         return;
     }
-    GateId g = node;
-    switch (f.kind[g]) {
+    GateId g = r.node;
+    switch (r.kind) {
       case CellKind::Const0:
         valV_[g] = 0;
         valK_[g] = ~uint64_t(0);
@@ -306,16 +325,16 @@ PackedSimulator::evalNode(uint32_t node)
         break;
     }
 
+    // The padded record's four pins: a repeated pin 0 changes
+    // neither the cell function nor the OR of fanin activity.
     V64 ins[4];
     uint64_t faninAct = 0;
-    uint32_t off = f.faninOffset[g];
-    unsigned nin = f.nin[g];
-    for (unsigned p = 0; p < nin; ++p) {
-        GateId src = f.fanin[off + p];
+    for (unsigned p = 0; p < 4; ++p) {
+        GateId src = r.in[p];
         ins[p] = V64(valV_[src], valK_[src]);
         faninAct |= act_[src];
     }
-    V64 v = packedEvalCell(f.kind[g], ins);
+    V64 v = packedEvalCell(r.kind, ins);
     valV_[g] = v.v;
     valK_[g] = v.k;
     uint64_t diff = (v.v ^ prevV_[g]) | (v.k ^ prevK_[g]);
@@ -328,60 +347,56 @@ PackedSimulator::accumulateEnergy()
     // Ascending gate id, one energy term per active lane per gate:
     // lane l's accumulation order equals the scalar kernel's
     // canonicalized active-list order, so the float sums match bit
-    // for bit.
+    // for bit. Only the lanes in energyLanes_ are summed.
     const FlatNetlist &f = *flat_;
     for (GateId g = 0; g < f.numGates; ++g) {
-        uint64_t a = act_[g];
+        uint64_t a = act_[g] & energyLanes_;
         if (!a)
             continue;
         uint64_t pv = prevV_[g], pk = prevK_[g];
         uint64_t cv = valV_[g], ck = valK_[g];
-        double riseE = nl_->riseEnergyJ(g);
-        double fallE = nl_->fallEnergyJ(g);
-        double *modrow =
-            &moduleEnergy_[size_t(topModuleOf_[g]) * kLanes];
+        const std::array<double, 3> &e = f.energy[g];
 
         // Known->known toggles: concrete transition (actual + bound).
         // Equal known-known lanes are X-propagation flags only.
-        uint64_t m = a & pk & ck & (pv ^ cv);
-        while (m) {
+        for (uint64_t m = a & pk & ck & (pv ^ cv); m; m &= m - 1) {
             unsigned l = unsigned(__builtin_ctzll(m));
-            m &= m - 1;
-            double e = ((cv >> l) & 1) ? riseE : fallE;
-            actual_[l] += e;
-            bound_[l] += e;
-            modrow[l] += e;
+            double t = e[((cv >> l) & 1) ^ 1]; // rise on 1, fall on 0
+            actual_[l] += t;
+            bound_[l] += t;
         }
-        // Known prev, X cur: assign the X to !p.
-        m = a & pk & ~ck;
-        while (m) {
+        // Lanes involving X: Algorithm 2's assignment (bound only).
+        for (uint64_t m = a & ~(pk & ck); m; m &= m - 1) {
             unsigned l = unsigned(__builtin_ctzll(m));
-            m &= m - 1;
-            double e = ((pv >> l) & 1) ? fallE : riseE;
-            bound_[l] += e;
-            modrow[l] += e;
-        }
-        // X prev, known cur: assign the previous X to !c.
-        m = a & ~pk & ck;
-        while (m) {
-            unsigned l = unsigned(__builtin_ctzll(m));
-            m &= m - 1;
-            double e = ((cv >> l) & 1) ? riseE : fallE;
-            bound_[l] += e;
-            modrow[l] += e;
-        }
-        // Both unknown: the cell's maximum-power transition.
-        m = a & ~pk & ~ck;
-        if (m) {
-            double e = f.maxE[g];
-            while (m) {
-                unsigned l = unsigned(__builtin_ctzll(m));
-                m &= m - 1;
-                bound_[l] += e;
-                modrow[l] += e;
-            }
+            bound_[l] += e[xPick(pv, pk, cv, ck, l)];
         }
     }
+}
+
+void
+PackedSimulator::computeModuleSplit() const
+{
+    // Behavioral share first, then the gates' bound terms in
+    // ascending id: per (module, lane) the same order as the bound
+    // sum, like the scalar Simulator::moduleBoundEnergyJ().
+    const FlatNetlist &f = *flat_;
+    moduleEnergy_ = behavioralModule_;
+    for (GateId g = 0; g < f.numGates; ++g) {
+        uint64_t pv = prevV_[g], pk = prevK_[g];
+        uint64_t cv = valV_[g], ck = valK_[g];
+        uint64_t holds = pk & ck & ~(pv ^ cv);
+        uint64_t a = act_[g] & energyLanes_ & ~holds;
+        const std::array<double, 3> &e = f.energy[g];
+        double *modrow =
+            &moduleEnergy_[size_t(topModuleOf_[g]) * kLanes];
+        for (; a; a &= a - 1) {
+            unsigned l = unsigned(__builtin_ctzll(a));
+            modrow[l] += (pk & ck) >> l & 1
+                             ? e[((cv >> l) & 1) ^ 1]
+                             : e[xPick(pv, pk, cv, ck, l)];
+        }
+    }
+    moduleEnergyValid_ = true;
 }
 
 void
@@ -398,14 +413,15 @@ PackedSimulator::step(
     actual_.fill(0.0);
     bound_.fill(0.0);
     behavioral_.fill(0.0);
-    std::fill(moduleEnergy_.begin(), moduleEnergy_.end(), 0.0);
+    std::fill(behavioralModule_.begin(), behavioralModule_.end(), 0.0);
+    moduleEnergyValid_ = false;
 
     for (size_t i = 0; i < nl_->seqGates().size(); ++i)
         evalSeqGate(i);
     if (driver)
         driver(*this);
-    for (uint32_t node : flat_->schedule)
-        evalNode(node);
+    for (const FlatNetlist::NodeRec &r : flat_->nodeRec)
+        evalNode(r);
 
     accumulateEnergy();
     ++cycle_;
@@ -440,30 +456,26 @@ PackedSimulator::loadLaneState(unsigned lane,
     if (s.val.size() != n)
         throw std::logic_error(
             "loadLaneState from a snapshot of a different netlist");
-    uint64_t m = uint64_t(1) << lane;
+    // Branch-free per gate: clear the lane, then OR in its bits (the
+    // value plane stays a subset of the known plane, since V4::X is
+    // 2). Restrict-qualified locals let the loop vectorize: the byte
+    // arrays could otherwise alias the planes.
+    uint64_t keep = ~(uint64_t(1) << lane);
+    const uint8_t *__restrict val =
+        reinterpret_cast<const uint8_t *>(s.val.data());
+    const uint8_t *__restrict act = s.activeLast.data();
+    uint64_t *__restrict vv = valV_.data();
+    uint64_t *__restrict vk = valK_.data();
+    uint64_t *__restrict va = act_.data();
     for (size_t g = 0; g < n; ++g) {
-        V4 v = s.val[g];
-        if (v == V4::X) {
-            valV_[g] &= ~m;
-            valK_[g] &= ~m;
-        } else {
-            valK_[g] |= m;
-            if (v == V4::One)
-                valV_[g] |= m;
-            else
-                valV_[g] &= ~m;
-        }
-        if (s.activeLast[g])
-            act_[g] |= m;
-        else
-            act_[g] &= ~m;
+        uint64_t v = val[g];
+        vv[g] = (vv[g] & keep) | (v & 1) << lane;
+        vk[g] = (vk[g] & keep) | (1 ^ (v >> 1)) << lane;
+        va[g] = (va[g] & keep) | uint64_t(act[g]) << lane;
     }
-    for (size_t i = 0; i < loadedPrevEdge_.size(); ++i) {
-        if (s.loadedPrevEdge[i])
-            loadedPrevEdge_[i] |= m;
-        else
-            loadedPrevEdge_[i] &= ~m;
-    }
+    for (size_t i = 0; i < loadedPrevEdge_.size(); ++i)
+        loadedPrevEdge_[i] = (loadedPrevEdge_[i] & keep) |
+                             uint64_t(s.loadedPrevEdge[i]) << lane;
 }
 
 Simulator::Snapshot
@@ -472,14 +484,22 @@ PackedSimulator::extractLaneState(unsigned lane, uint64_t cycle) const
     Simulator::Snapshot s;
     size_t n = valV_.size();
     s.val.resize(n);
-    for (size_t g = 0; g < n; ++g)
-        s.val[g] = V64(valV_[g], valK_[g]).lane(lane);
     // The scalar active_ array is zero-padded to a whole number of
     // words for the word-at-a-time delta diff; emit the same shape so
     // the transpose round-trips byte for byte.
     s.activeLast.assign((n + 7) & ~size_t(7), 0);
-    for (size_t g = 0; g < n; ++g)
-        s.activeLast[g] = uint8_t((act_[g] >> lane) & 1);
+    // V4 is 0/1 where known and 2 (X) where not. Restrict-qualified
+    // locals let the loop vectorize (see loadLaneState).
+    uint8_t *__restrict val = reinterpret_cast<uint8_t *>(s.val.data());
+    uint8_t *__restrict act = s.activeLast.data();
+    const uint64_t *__restrict vv = valV_.data();
+    const uint64_t *__restrict vk = valK_.data();
+    const uint64_t *__restrict va = act_.data();
+    for (size_t g = 0; g < n; ++g) {
+        uint64_t k = (vk[g] >> lane) & 1;
+        val[g] = uint8_t((vv[g] >> lane & k) | (k ^ 1) << 1);
+        act[g] = uint8_t((va[g] >> lane) & 1);
+    }
     s.loadedPrevEdge.resize(loadedPrevEdge_.size());
     for (size_t i = 0; i < loadedPrevEdge_.size(); ++i)
         s.loadedPrevEdge[i] =

@@ -29,10 +29,11 @@
  * invariant on fuzz-generated netlists and programs.
  *
  * The kernel is an oblivious full sweep of the level-bucketed schedule
- * (the packed analogue of EvalMode::FullSweep): event-driven worklists
- * pay off when few gates change, but across 64 patterns the union of
- * changed gates approaches the whole cone, so the oblivious sweep wins
- * and stays branch-free. Beyond the embarrassingly multi-pattern
+ * (the packed analogue of EvalMode::FullSweep), reading the same
+ * padded per-position records (FlatNetlist::nodeRec) as the scalar
+ * event kernel: event-driven worklists pay off when few gates change,
+ * but across 64 patterns the union of changed gates approaches the
+ * whole cone, so the oblivious sweep wins and stays branch-free. Beyond the embarrassingly multi-pattern
  * consumers (ulfuzz lane sweeps, batched concrete trace validation,
  * fault campaigns), the symbolic engine's packed frontier mode
  * (SymbolicConfig::packedExplore) drives independent pending
@@ -123,17 +124,22 @@ class PackedSimulator {
     {
         return behavioral_[lane];
     }
-    double
-    moduleBoundEnergyJ(unsigned lane, ModuleId m) const
-    {
-        return moduleEnergy_[size_t(m) * kLanes + lane];
-    }
     /** Lane @p lane's per-module split, shaped like the scalar
-     *  Simulator::moduleBoundEnergyJ() vector. */
+     *  Simulator::moduleBoundEnergyJ() vector. Like the scalar split
+     *  it is computed on the first request after step() (for every
+     *  energy lane at once), so callers that never ask do not pay. */
     std::vector<double> moduleBoundEnergyLaneJ(unsigned lane) const;
     /** Add behavioral energy @p j to every lane in @p lane_mask. */
     void addBehavioralEnergyJ(double j, ModuleId top_module,
                               uint64_t lane_mask);
+    /**
+     * Restrict the energy accumulation of the following steps to the
+     * lanes in @p mask (default: all 64). Lanes outside it read zero
+     * energies and cost nothing; values, activity and hashes are
+     * unaffected. The packed exploration frontier passes the lanes
+     * that carry a path, so empty lanes do not pay for Algorithm 2.
+     */
+    void setEnergyLanes(uint64_t mask) { energyLanes_ = mask; }
     /// @}
 
     /** Per-lane FNV-1a over the complete inter-step state, identical
@@ -187,8 +193,9 @@ class PackedSimulator {
 
   private:
     void evalSeqGate(size_t i);
-    void evalNode(uint32_t node);
+    void evalNode(const FlatNetlist::NodeRec &r);
     void accumulateEnergy();
+    void computeModuleSplit() const;
 
     const Netlist *nl_;
     const FlatNetlist *flat_;
@@ -208,7 +215,14 @@ class PackedSimulator {
     std::array<double, kLanes> actual_{};
     std::array<double, kLanes> bound_{};
     std::array<double, kLanes> behavioral_{};
-    std::vector<double> moduleEnergy_; ///< [module * kLanes + lane]
+    /** Behavioral energy per [module * kLanes + lane]. */
+    std::vector<double> behavioralModule_;
+    /// @name Lazily computed per-module split, same layout
+    /// @{
+    mutable std::vector<double> moduleEnergy_;
+    mutable bool moduleEnergyValid_ = false;
+    /// @}
+    uint64_t energyLanes_ = ~uint64_t(0); ///< see setEnergyLanes
     uint64_t cycle_ = 0;
 };
 

@@ -7,35 +7,89 @@
 
 namespace ulpeak {
 
+namespace {
+
+inline uint64_t
+bitOf(uint32_t i)
+{
+    return uint64_t(1) << (i & 63);
+}
+
+/**
+ * Algorithm 2's choice per (previous, current) value pair, indexed by
+ * prev << 2 | cur: which of the gate's {rise, fall, max} energies the
+ * bound takes, and whether the bound and the actual energy count it
+ * (a 0.0/1.0 factor). A known hold is an X-propagation flag only and
+ * adds +0.0 to both sums -- bit-identical to skipping it, because no
+ * partial sum is ever -0.0.
+ */
+struct EnergyPick {
+    uint8_t sel;   ///< 0 rise, 1 fall, 2 max
+    double bound;  ///< 1.0 when the bound counts the term
+    double actual; ///< 1.0 for a concrete known->known toggle
+};
+constexpr EnergyPick kEnergyPick[16] = {
+    {0, 0.0, 0.0}, // 0 -> 0: hold
+    {0, 1.0, 1.0}, // 0 -> 1: rise
+    {0, 1.0, 0.0}, // 0 -> X: assign the X to !p, a rise
+    {0, 0.0, 0.0}, // (unused encoding)
+    {1, 1.0, 1.0}, // 1 -> 0: fall
+    {0, 0.0, 0.0}, // 1 -> 1: hold
+    {1, 1.0, 0.0}, // 1 -> X: a fall
+    {0, 0.0, 0.0},
+    {1, 1.0, 0.0}, // X -> 0: assign the previous X to !c, a fall
+    {0, 1.0, 0.0}, // X -> 1: a rise
+    {2, 1.0, 0.0}, // X -> X: the maximum-power transition
+    {0, 0.0, 0.0},
+    {0, 0.0, 0.0},
+    {0, 0.0, 0.0},
+    {0, 0.0, 0.0},
+    {0, 0.0, 0.0},
+};
+
+inline const EnergyPick &
+energyPick(V4 prev, V4 cur)
+{
+    return kEnergyPick[unsigned(prev) << 2 | unsigned(cur)];
+}
+
+} // namespace
+
 Simulator::Simulator(const Netlist &nl, EvalMode mode)
     : nl_(&nl), flat_(&nl.flat()), mode_(mode)
 {
     if (!nl.finalized())
         throw std::logic_error("Simulator requires a finalized netlist");
     size_t n = nl.numGates();
+    size_t nseq = nl.seqGates().size();
     val_.assign(n, V4::X);
     prev_.assign(n, V4::X);
     // Padded to a multiple of 8 so the canonical active-list rebuild
     // can scan the flags a word at a time; pad bytes stay 0.
     active_.assign((n + 7) & ~size_t(7), 0);
     activePrev_.assign(active_.size(), 0);
-    loadedPrevEdge_.assign(nl.seqGates().size(), 1);
+    loadedPrevEdge_.assign(nseq, 1);
     seqIndexOf_.assign(n, UINT32_MAX);
-    for (size_t i = 0; i < nl.seqGates().size(); ++i)
+    for (size_t i = 0; i < nseq; ++i)
         seqIndexOf_[nl.seqGates()[i]] = uint32_t(i);
     topModuleOf_.resize(n);
     for (GateId g = 0; g < n; ++g)
         topModuleOf_[g] = nl.topLevelModuleOf(nl.gate(g).module);
-    for (GateId g = 0; g < n; ++g)
-        if (flat_->kind[g] == CellKind::Input)
+    for (GateId g = 0; g < n; ++g) {
+        if (flat_->kind[g] == CellKind::Input) {
             inputGates_.push_back(g);
-    dirty_.assign(flat_->numNodes(), 0);
-    buckets_.resize(flat_->numLevels);
+            inputPos_.push_back(flat_->posOfNode[g]);
+        }
+    }
+    dirty_.assign((flat_->schedule.size() + 63) / 64, 0);
+    seqNext_.assign((nseq + 63) / 64, 0);
+    seqAct_[0].assign(seqNext_.size(), 0);
+    seqAct_[1].assign(seqNext_.size(), 0);
+    seqActive_.assign(nseq, 0);
     activeList_.reserve(n / 4 + 64);
-    seqMark_[0].assign(nl.seqGates().size(), 0);
-    seqMark_[1].assign(nl.seqGates().size(), 0);
     markAllSeq();
     hookFns_.resize(nl.hooks().size());
+    behavioralModule_.assign(nl.numModules(), 0.0);
     moduleEnergy_.assign(nl.numModules(), 0.0);
 }
 
@@ -54,91 +108,122 @@ Simulator::addEdgeFn(EdgeFn fn)
 void
 Simulator::enqueueNode(uint32_t node)
 {
-    if (dirty_[node])
-        return;
-    dirty_[node] = 1;
-    buckets_[flat_->levelOfNode[node]].push_back(node);
+    uint32_t pos = flat_->posOfNode[node];
+    dirty_[pos >> 6] |= bitOf(pos);
 }
 
 void
 Simulator::enqueueSeqNext(uint32_t seq_index)
 {
-    if (seqMark_[0][seq_index])
-        return;
-    seqMark_[0][seq_index] = 1;
-    seqQ_[0].push_back(seq_index);
-}
-
-void
-Simulator::enqueueSeqBoth(uint32_t seq_index)
-{
-    enqueueSeqNext(seq_index);
-    if (seqMark_[1][seq_index])
-        return;
-    seqMark_[1][seq_index] = 1;
-    seqQ_[1].push_back(seq_index);
-}
-
-void
-Simulator::markSeqConsumers(GateId g)
-{
-    uint32_t begin = flat_->seqFanoutOffset[g];
-    uint32_t end = flat_->seqFanoutOffset[g + 1];
-    for (uint32_t i = begin; i < end; ++i)
-        enqueueSeqBoth(flat_->seqFanout[i]);
+    seqNext_[seq_index >> 6] |= bitOf(seq_index);
 }
 
 void
 Simulator::markAllSeq()
 {
-    for (int w = 0; w < 2; ++w) {
-        seqQ_[w].clear();
-        std::fill(seqMark_[w].begin(), seqMark_[w].end(), 1);
-        seqQ_[w].resize(seqMark_[w].size());
-        for (uint32_t i = 0; i < seqQ_[w].size(); ++i)
-            seqQ_[w][i] = i;
-    }
+    // Marking every flop as this cycle's activity consumer wakes it at
+    // both of the next two edges.
+    size_t nseq = seqActive_.size();
+    std::vector<uint64_t> &w = seqAct_[0];
+    std::fill(w.begin(), w.end(), ~uint64_t(0));
+    if (nseq % 64)
+        w.back() = bitOf(uint32_t(nseq)) - 1;
 }
 
-void
-Simulator::markFanoutsDirty(GateId g, bool value_changed)
-{
-    // A consumer must re-evaluate when a fanin's value changed. When
-    // the fanin is merely X-active (value held), only X-valued
-    // consumers can be affected: a known-valued consumer of unchanged
-    // fanins recomputes the same known value and stays inactive
-    // (Section 3.1's X rule applies to X outputs only).
-    uint32_t begin = flat_->fanoutOffset[g];
-    uint32_t end = flat_->fanoutOffset[g + 1];
-    // An engaged prune mask drops proven-constant consumers from the
-    // worklist: re-evaluating one reproduces its settled value and
-    // inactivity, so skipping is value- and energy-neutral.
-    const uint8_t *pm = staticPruneActive() ? pruneMask_->data()
-                                            : nullptr;
-    if (value_changed) {
-        for (uint32_t i = begin; i < end; ++i) {
-            GateId t = flat_->fanout[i];
-            if (pm && pm[t])
-                continue;
-            enqueueNode(t);
+/**
+ * The event-driven kernel's working set, as raw pointers held in
+ * locals: the per-node path stores bytes (values, flags), which may
+ * alias anything, so reading the arrays through the Simulator's
+ * vectors would reload their data pointers on the critical path of
+ * every node.
+ */
+struct Simulator::Drain {
+    const FlatNetlist::NodeRec *rec;
+    const GateId *fanout;
+    const uint32_t *fanoutPos;
+    const uint32_t *seqFanout;
+    V4 *val;
+    const V4 *prev;
+    uint8_t *act;
+    const uint8_t *prune; ///< the engaged prune mask, or null
+    uint64_t *dirty;
+    uint64_t *seqAct; ///< this cycle's flop wake marks
+
+    explicit Drain(Simulator &s)
+        : rec(s.flat_->nodeRec.data()), fanout(s.flat_->fanout.data()),
+          fanoutPos(s.flat_->fanoutPos.data()),
+          seqFanout(s.flat_->seqFanout.data()), val(s.val_.data()),
+          prev(s.prev_.data()), act(s.active_.data()),
+          prune(s.staticPruneActive() ? s.pruneMask_->data() : nullptr),
+          dirty(s.dirty_.data()),
+          seqAct(s.seqAct_[0].data())
+    {
+    }
+
+    /** Mark the consumers of one driver, without branches on data:
+     *  the combinational fanouts fanout[fb, fe) when @p a & (@p
+     *  changed | consumer is X) and (with @p kPrune) the consumer is
+     *  not pruned, and the flops seqFanout[sb, se) when @p a. */
+    template <bool kPrune>
+    void
+    wake(uint32_t fb, uint32_t fe, uint32_t sb, uint32_t se, uint8_t a,
+         uint8_t changed) const
+    {
+        // A consumer must re-evaluate when a fanin's value changed.
+        // When the fanin is merely X-active (value held), only
+        // X-valued consumers can be affected: a known-valued consumer
+        // of unchanged fanins recomputes the same known value and
+        // stays inactive (Section 3.1's X rule applies to X outputs
+        // only). An engaged prune mask drops proven-constant
+        // consumers: re-evaluating one reproduces its settled value
+        // and inactivity, so skipping is value- and energy-neutral.
+        for (uint32_t i = fb; i < fe; ++i) {
+            GateId t = fanout[i];
+            uint32_t pos = fanoutPos[i];
+            uint64_t m = a & (changed | uint8_t(val[t] == V4::X));
+            if (kPrune)
+                m &= prune[t] ^ 1;
+            dirty[pos >> 6] |= m << (pos & 63);
         }
-    } else {
-        for (uint32_t i = begin; i < end; ++i) {
-            GateId t = flat_->fanout[i];
-            if (val_[t] == V4::X && !(pm && pm[t]))
-                enqueueNode(t);
+        for (uint32_t i = sb; i < se; ++i) {
+            uint32_t s = seqFanout[i];
+            seqAct[s >> 6] |= uint64_t(a) << (s & 63);
         }
     }
-}
+
+    /** evalNode's rules for the gate at record @p r, over its padded
+     *  pins: Const and Input gates read themselves (an Input's table
+     *  row is the identity, and xActive makes its X count as active). */
+    template <bool kPrune>
+    void
+    eval(const FlatNetlist::NodeRec &r) const
+    {
+        GateId g = r.node;
+        V4 v = kCellTruthTable[size_t(r.kind)][cellTableIndex(
+            val[r.in[0]], val[r.in[1]], val[r.in[2]], val[r.in[3]])];
+        uint8_t faninActive =
+            act[r.in[0]] | act[r.in[1]] | act[r.in[2]] | act[r.in[3]];
+        uint8_t changed = v != prev[g];
+        uint8_t a = changed |
+                    (uint8_t(v == V4::X) & (faninActive | r.xActive));
+        val[g] = v;
+        act[g] = a;
+        wake<kPrune>(r.fanoutBegin, r.fanoutEnd, r.seqBegin, r.seqEnd,
+                     a, changed);
+    }
+};
 
 void
-Simulator::clearEventQueues()
+Simulator::wakeGate(GateId g, uint8_t changed)
 {
-    for (auto &b : buckets_) {
-        for (uint32_t node : b)
-            dirty_[node] = 0;
-        b.clear();
-    }
+    const FlatNetlist &f = *flat_;
+    Drain d(*this);
+    uint32_t fb = f.fanoutOffset[g], fe = f.fanoutOffset[g + 1];
+    uint32_t sb = f.seqFanoutOffset[g], se = f.seqFanoutOffset[g + 1];
+    if (d.prune)
+        d.wake<true>(fb, fe, sb, se, 1, changed);
+    else
+        d.wake<false>(fb, fe, sb, se, 1, changed);
 }
 
 void
@@ -185,10 +270,8 @@ Simulator::setInput(GateId g, V4 v)
         // call happens between steps (legal per the API), the next
         // prologue copies val_ into prev_, so the input itself
         // evaluates as unchanged and would never propagate the edit.
-        if (val_[g] != v) {
-            markFanoutsDirty(g, /*value_changed=*/true);
-            markSeqConsumers(g);
-        }
+        if (val_[g] != v)
+            wakeGate(g, 1);
         enqueueNode(g);
     }
     val_[g] = v;
@@ -218,8 +301,7 @@ Simulator::forceValue(GateId g, V4 v)
     assert(seqIndexOf_[g] != UINT32_MAX ||
            flat_->kind[g] == CellKind::Input);
     if (mode_ == EvalMode::EventDriven && val_[g] != v) {
-        markFanoutsDirty(g, /*value_changed=*/true);
-        markSeqConsumers(g);
+        wakeGate(g, 1);
         // A forced flop's own next-edge evaluation reads the forced
         // q; a forced input must re-derive its activity flag like a
         // driver-set one.
@@ -246,7 +328,6 @@ Simulator::injectSeuFlip(GateId g)
     // the flip (same reasoning as forceValue).
     uint32_t si = seqIndexOf_[g];
     assert(si != UINT32_MAX);
-    (void)si;
     // An upset can ripple into a proven-constant cone (the proof
     // assumed fault-free operation), so any injection permanently
     // disables pruning for this simulator. Fault campaigns never
@@ -261,16 +342,14 @@ Simulator::injectSeuFlip(GateId g)
     // the flop back to its pre-edge value the known->known p == c rule
     // in accumulateEnergy bills no transition energy -- the flag then
     // only feeds X-propagation, exactly like a glitchless hold.
-    if (!active_[g]) {
-        active_[g] = 1;
-        activeList_.push_back(g); // sweepEvent seeds from this list
-    }
     if (mode_ == EvalMode::EventDriven) {
-        markFanoutsDirty(g, /*value_changed=*/true);
-        markSeqConsumers(g);
+        if (!active_[g])
+            seqActive_[numSeqActive_++] = g; // sweepEvent seeds from it
+        wakeGate(g, 1);
         // The flipped q feeds this flop's own next-edge evaluation.
         enqueueSeqNext(si);
     }
+    active_[g] = 1;
     return true;
 }
 
@@ -289,7 +368,7 @@ Simulator::addBehavioralEnergyJ(double j, ModuleId top_module)
     actualEnergy_ += j;
     boundEnergy_ += j;
     behavioralEnergy_ += j;
-    moduleEnergy_[top_module] += j;
+    behavioralModule_[top_module] += j;
 }
 
 template <bool kEvent>
@@ -328,13 +407,14 @@ Simulator::evalSeqGate(size_t i)
               (isKnown(newq) != isKnown(q));
     }
     active_[g] = act;
-    if (act)
-        activeList_.push_back(g);
     uint8_t loaded = held ? 0 : 1;
-    if (kEvent && (act || loaded != loadedPrevEdge_[i])) {
-        // Changed state (q or load history) feeds this flop's own
-        // next-edge evaluation.
-        enqueueSeqNext(uint32_t(i));
+    if (kEvent) {
+        // Active flops seed this cycle's drain; changed state (q or
+        // load history) feeds this flop's own next-edge evaluation.
+        seqActive_[numSeqActive_] = g;
+        numSeqActive_ += act;
+        seqNext_[i >> 6] |=
+            uint64_t(act | (loaded != loadedPrevEdge_[i])) << (i & 63);
     }
     loadedPrevEdge_[i] = loaded;
 }
@@ -347,20 +427,22 @@ Simulator::updateSequential()
             evalSeqGate<false>(i);
         return;
     }
-    // Rotate the wake windows: drain what was marked for this edge,
-    // promote the echo window; marks generated during the drain (and
-    // during the upcoming combinational phase) land on the next edge.
-    seqDrain_.swap(seqQ_[0]);
-    seqQ_[0].swap(seqQ_[1]);
-    seqMark_[0].swap(seqMark_[1]);
-    for (uint32_t i : seqDrain_) {
-        seqMark_[1][i] = 0; // the drained window's bitmap (post-swap)
-        evalSeqGate<true>(i);
+    // Drain this edge's marks word by word, clearing the next-edge
+    // word first so marks this drain makes for the next edge survive,
+    // then age this cycle's activity marks into the previous cycle's.
+    uint64_t *next = seqNext_.data();
+    const uint64_t *cur = seqAct_[0].data();
+    const uint64_t *prev = seqAct_[1].data();
+    for (size_t w = 0; w < seqNext_.size(); ++w) {
+        uint64_t bits = next[w] | cur[w] | prev[w];
+        next[w] = 0;
+        for (; bits; bits &= bits - 1)
+            evalSeqGate<true>(w * 64 + size_t(__builtin_ctzll(bits)));
     }
-    seqDrain_.clear();
+    seqAct_[0].swap(seqAct_[1]);
+    std::fill(seqAct_[0].begin(), seqAct_[0].end(), 0);
 }
 
-template <bool kEvent>
 void
 Simulator::evalNode(uint32_t node)
 {
@@ -382,18 +464,12 @@ Simulator::evalNode(uint32_t node)
         val_[g] = V4::One;
         active_[g] = 0;
         return;
-      case CellKind::Input: {
+      case CellKind::Input:
         // Value was set by the driver or a hook (or holds over from
         // the previous cycle). An unknown input may toggle at any
         // time, so X counts as active.
-        bool act = val_[g] != prev_[g] || val_[g] == V4::X;
-        active_[g] = act;
-        if (act && kEvent) {
-            markFanoutsDirty(g, val_[g] != prev_[g]);
-            markSeqConsumers(g);
-        }
+        active_[g] = val_[g] != prev_[g] || val_[g] == V4::X;
         return;
-      }
       default:
         break;
     }
@@ -409,12 +485,7 @@ Simulator::evalNode(uint32_t node)
     }
     V4 v = evalCell(f.kind[g], ins);
     val_[g] = v;
-    bool act = v != prev_[g] || (v == V4::X && fanin_active);
-    active_[g] = act;
-    if (act && kEvent) {
-        markFanoutsDirty(g, v != prev_[g]);
-        markSeqConsumers(g);
-    }
+    active_[g] = v != prev_[g] || (v == V4::X && fanin_active);
 }
 
 void
@@ -422,7 +493,7 @@ Simulator::sweepFull()
 {
     if (!staticPruneActive()) {
         for (uint32_t node : flat_->schedule)
-            evalNode<false>(node);
+            evalNode(node);
         return;
     }
     // A masked gate whose activity flag is clear already settled to
@@ -435,7 +506,7 @@ Simulator::sweepFull()
     for (uint32_t node : flat_->schedule) {
         if (node < flat_->numGates && pm[node] && !active_[node])
             continue;
-        evalNode<false>(node);
+        evalNode(node);
     }
 }
 
@@ -452,89 +523,134 @@ Simulator::sweepEvent()
     // Unknown inputs count as active every cycle (Section 3.1) even
     // when untouched; driver-touched inputs were enqueued by
     // setInput().
-    for (GateId g : inputGates_)
-        if (val_[g] == V4::X)
-            enqueueNode(g);
+    for (size_t i = 0; i < inputGates_.size(); ++i) {
+        uint32_t pos = inputPos_[i];
+        dirty_[pos >> 6] |= uint64_t(val_[inputGates_[i]] == V4::X)
+                            << (pos & 63);
+    }
+    if (staticPruneActive())
+        drain<true>();
+    else
+        drain<false>();
+}
+
+template <bool kPrune>
+void
+Simulator::drain()
+{
+    const FlatNetlist &f = *flat_;
+    Drain d(*this);
     // Active sequential outputs wake their fanout cones (an inactive
     // sequential gate provably kept its value) and their sequential
-    // consumers. activeList_ holds exactly the active sequential
-    // gates at this point.
-    for (GateId g : activeList_) {
-        markFanoutsDirty(g, val_[g] != prev_[g]);
-        markSeqConsumers(g);
+    // consumers.
+    for (size_t i = 0; i < numSeqActive_; ++i) {
+        GateId g = seqActive_[i];
+        d.wake<kPrune>(f.fanoutOffset[g], f.fanoutOffset[g + 1],
+                       f.seqFanoutOffset[g], f.seqFanoutOffset[g + 1], 1,
+                       d.val[g] != d.prev[g]);
     }
 
-    // Drain by ascending level; within a level no node depends on
-    // another, so insertion order is fine -- the activity list is
-    // canonicalized (sorted) before the energy accumulation.
-    for (uint32_t l = 0; l < f.numLevels; ++l) {
-        std::vector<uint32_t> &b = buckets_[l];
-        for (size_t i = 0; i < b.size(); ++i) {
-            uint32_t node = b[i];
-            dirty_[node] = 0;
-            evalNode<true>(node);
+    // One ascending scan over schedule positions. Evaluating a node
+    // marks only higher positions, so re-reading the current word
+    // after each evaluation picks up marks it made in this word, and
+    // later words are reached in turn: every dirty node is evaluated
+    // exactly once, in full-sweep order.
+    for (size_t w = 0; w < dirty_.size(); ++w) {
+        for (uint64_t bits; (bits = d.dirty[w]) != 0;) {
+            d.dirty[w] = bits & (bits - 1);
+            const FlatNetlist::NodeRec &r =
+                d.rec[w * 64 + size_t(__builtin_ctzll(bits))];
+            if (r.kind != FlatNetlist::kHookKind) {
+                d.eval<kPrune>(r);
+                continue;
+            }
+            // Behavioral hook at its levelized position.
+            HookFn &fn = hookFns_[r.node - f.numGates];
+            if (fn)
+                fn(*this);
         }
-        b.clear();
     }
 }
+
+namespace {
+
+/**
+ * Call @p f(g) for every set flag in ascending g. The flags are 0/1
+ * bytes, zero-padded to a multiple of 8: a multiply by
+ * 0x0102040810204080 gathers the low bits of eight bytes into the top
+ * byte, so eight gathers make a 64-gate mask whose set bits are then
+ * walked.
+ */
+template <class F>
+inline void
+forEachFlag(const std::vector<uint8_t> &flags, F f)
+{
+    const uint8_t *p = flags.data();
+    size_t n = flags.size();
+    for (size_t base = 0; base < n; base += 64) {
+        size_t words = std::min<size_t>(8, (n - base) / 8);
+        uint64_t mask = 0;
+        for (size_t k = 0; k < words; ++k) {
+            uint64_t w;
+            std::memcpy(&w, p + base + 8 * k, 8);
+            mask |= ((w * 0x0102040810204080ull) >> 56) << (8 * k);
+        }
+        for (; mask; mask &= mask - 1)
+            f(GateId(base + size_t(__builtin_ctzll(mask))));
+    }
+}
+
+} // namespace
 
 void
 Simulator::rebuildActiveList()
 {
-    // Canonicalize the activity list: the evaluation order of the
-    // event-driven kernel differs from the full sweep's within a
-    // level, and floating-point sums are order-sensitive. Rebuilding
-    // the list in ascending gate-id order from the flag bitmap (a
-    // word at a time; the tail is zero-padded) makes per-cycle
-    // energies and the activeGates() view bit-identical across
-    // kernels, cheaper than sorting the list.
+    // Ascending gate-id order is what makes the order-sensitive float
+    // energy sums and the activeGates() view identical across kernels.
     activeList_.clear();
-    const uint8_t *flags = active_.data();
-    for (size_t base = 0; base < active_.size(); base += 8) {
-        uint64_t w;
-        std::memcpy(&w, flags + base, 8);
-        while (w) {
-            unsigned byte = unsigned(__builtin_ctzll(w)) >> 3;
-            activeList_.push_back(GateId(base + byte));
-            w &= ~(uint64_t(0xff) << (byte * 8));
-        }
-    }
+    forEachFlag(active_, [this](GateId g) { activeList_.push_back(g); });
 }
 
 void
 Simulator::accumulateEnergy()
 {
-    rebuildActiveList();
+    // The canonical activity list and, in the same pass, the per-cycle
+    // energies: concrete transitions (actual) and the Algorithm-2
+    // per-cycle peak assignment (bound), after the behavioral share
+    // the hooks already added.
+    activeList_.clear();
+    const std::array<double, 3> *energy = flat_->energy.data();
+    const V4 *prev = prev_.data();
+    const V4 *val = val_.data();
+    double actual = actualEnergy_;
+    double bound = boundEnergy_;
+    forEachFlag(active_, [&](GateId g) {
+        activeList_.push_back(g);
+        const EnergyPick &pk = energyPick(prev[g], val[g]);
+        double e = energy[g][pk.sel] * pk.bound;
+        bound += e;
+        actual += e * pk.actual;
+    });
+    actualEnergy_ = actual;
+    boundEnergy_ = bound;
+}
 
-    // Per-cycle energy: concrete transitions (actual) and the
-    // Algorithm-2 per-cycle peak assignment (bound).
-    const FlatNetlist &f = *flat_;
+const std::vector<double> &
+Simulator::moduleBoundEnergyJ() const
+{
+    if (moduleEnergyValid_)
+        return moduleEnergy_;
+    // The behavioral share first, then the active gates in ascending
+    // id: per module, the same terms in the same order as the
+    // boundEnergyJ sum.
+    moduleEnergy_ = behavioralModule_;
+    const std::array<double, 3> *energy = flat_->energy.data();
     for (GateId g : activeList_) {
-        V4 p = prev_[g];
-        V4 c = val_[g];
-        double e;
-        if (isKnown(p) && isKnown(c)) {
-            if (p == c)
-                continue; // active-X propagation flag only, no toggle
-            e = (c == V4::One) ? nl_->riseEnergyJ(g)
-                               : nl_->fallEnergyJ(g);
-            actualEnergy_ += e;
-        } else if (isKnown(p)) {
-            // Assign the X to !p: the transition p -> !p happened.
-            e = (p == V4::Zero) ? nl_->riseEnergyJ(g)
-                                : nl_->fallEnergyJ(g);
-        } else if (isKnown(c)) {
-            // Assign the previous X to !c.
-            e = (c == V4::One) ? nl_->riseEnergyJ(g)
-                               : nl_->fallEnergyJ(g);
-        } else {
-            // Both unknown: the cell's maximum-power transition
-            // (Algorithm 2, maxTransition lookup).
-            e = f.maxE[g];
-        }
-        boundEnergy_ += e;
-        moduleEnergy_[topModuleOf_[g]] += e;
+        const EnergyPick &pk = energyPick(prev_[g], val_[g]);
+        moduleEnergy_[topModuleOf_[g]] += energy[g][pk.sel] * pk.bound;
     }
+    moduleEnergyValid_ = true;
+    return moduleEnergy_;
 }
 
 void
@@ -545,20 +661,21 @@ Simulator::step(const std::function<void(Simulator &)> &driver)
         for (auto &fn : edgeFns_)
             fn(*this);
 
-    activePrev_ = active_;
     if (mode_ == EvalMode::EventDriven) {
-        // Skipped gates must read as inactive: clear the flags of last
-        // cycle's active set (the only set flags) instead of sweeping
-        // the whole array.
-        for (GateId g : activeList_)
-            active_[g] = 0;
+        // Skipped gates must read as inactive.
+        activePrev_.swap(active_);
+        std::fill(active_.begin(), active_.end(), 0);
+    } else {
+        activePrev_ = active_;
     }
     prev_ = val_;
     activeList_.clear();
+    numSeqActive_ = 0;
     actualEnergy_ = 0.0;
     boundEnergy_ = 0.0;
     behavioralEnergy_ = 0.0;
-    std::fill(moduleEnergy_.begin(), moduleEnergy_.end(), 0.0);
+    std::fill(behavioralModule_.begin(), behavioralModule_.end(), 0.0);
+    moduleEnergyValid_ = false;
 
     updateSequential();
     if (driver)
@@ -572,7 +689,7 @@ Simulator::step(const std::function<void(Simulator &)> &driver)
         // oblivious sweep records no wake marks, so re-arm every flop
         // for the next two edges.
         sweepFull();
-        clearEventQueues();
+        std::fill(dirty_.begin(), dirty_.end(), 0);
         markAllSeq();
     } else {
         sweepEvent();
@@ -599,16 +716,17 @@ Simulator::restore(const Snapshot &s)
     active_ = s.activeLast;
     loadedPrevEdge_ = s.loadedPrevEdge;
     cycle_ = s.cycle;
-    // Rebuild the active list so the next step's flag-clearing pass
-    // (event mode) sees every set flag; consumers observing
-    // activeGates() after a restore get the restored cycle's set.
+    // Rebuild the active list so consumers observing activeGates()
+    // after a restore get the restored cycle's set.
     rebuildActiveList();
     // The restored state carries no wake marks: re-arm every flop.
-    // (Stale combinational queue entries are harmless -- evaluating a
-    // clean gate reproduces its full-sweep value and activity.)
+    // (Stale marks left in the dirty bitmap are harmless --
+    // evaluating a clean gate reproduces its full-sweep value and
+    // activity.)
     if (mode_ == EvalMode::EventDriven)
         markAllSeq();
 }
+
 
 namespace {
 

@@ -14,21 +14,32 @@
  *    cycle, walking the level-bucketed schedule front to back -- the
  *    straightforward oblivious kernel, kept as the reference;
  *  - EvalMode::EventDriven (the default) evaluates only gates whose
- *    fanins changed value or activity this cycle: per-level dirty
- *    worklists are seeded by changed/active sequential outputs,
- *    driver-touched and unknown primary inputs, and behavioral-hook
- *    outputs, then drained level by level in schedule order. Hooks
- *    always run (behavioral state such as RAM contents can change
- *    between cycles without any netlist-visible event, and hooks bill
+ *    fanins changed value or activity this cycle. A dirty bitmap
+ *    over schedule positions is seeded by changed/active sequential
+ *    outputs, driver-touched and unknown primary inputs, and
+ *    behavioral hooks, then drained in one ascending scan that
+ *    re-reads the current word after every evaluation: a node only
+ *    marks consumers at higher levels, which sit at higher positions,
+ *    so the scan visits dirty nodes in exactly the full sweep's
+ *    order. The drain has no branches on data: cells evaluate
+ *    through kCellTruthTable (generated from evalCell), and fanout
+ *    and flop wake marks are ORed in as act & (changed |
+ *    consumer-is-X) under the static-prune mask. Hooks always run
+ *    (behavioral state such as RAM contents can change between
+ *    cycles without any netlist-visible event, and hooks bill
  *    per-access energy). Skipped gates are exactly the gates a full
  *    sweep would have re-evaluated to an identical (value, activity)
- *    pair; within a level no gate depends on another, so evaluation
- *    order differences cannot change values. The per-cycle activity
- *    list is canonicalized (sorted by gate id) in both modes before
- *    the order-sensitive floating-point energy accumulation, so both
- *    kernels produce bit-identical values, activity lists, and
- *    energies every cycle -- the test suite locksteps the two kernels
- *    across the bench430 programs to enforce this.
+ *    pair.
+ *
+ * Both kernels rebuild the per-cycle activity list in ascending gate
+ * id from the flag bitmap (eight flags per multiply) before the
+ * order-sensitive floating-point energy accumulation, which picks
+ * each active gate's term from its {rise, fall, max} triple without
+ * branches. Both kernels therefore produce bit-identical values,
+ * activity lists, and energies every cycle -- the test suite
+ * locksteps the two kernels across the bench430 programs to enforce
+ * this. FullSweep evaluates through evalCell, not the table, so the
+ * locksteps also check the table against the function it came from.
  *
  * Activity follows the paper's definition (Section 3.1): a gate is
  * active in a cycle if its value changed, or if it is X and is driven by
@@ -84,7 +95,7 @@ class Simulator;
  */
 enum class EvalMode : uint8_t {
     FullSweep,   ///< oblivious: every scheduled node, every cycle
-    EventDriven, ///< dirty worklists: only gates with changed fanins
+    EventDriven, ///< dirty bitmap: only gates with changed fanins
 };
 
 /** Callback evaluating a behavioral hook during the combinational
@@ -162,11 +173,11 @@ class Simulator {
     double actualEnergyJ() const { return actualEnergy_; }
     double boundEnergyJ() const { return boundEnergy_; }
     /** Per top-level-module split of boundEnergyJ (index = ModuleId of a
-     *  direct child of top; index 0 = top itself). */
-    const std::vector<double> &moduleBoundEnergyJ() const
-    {
-        return moduleEnergy_;
-    }
+     *  direct child of top; index 0 = top itself). Computed on the
+     *  first call after step(), from that cycle's activity, so only
+     *  callers that need the split pay for it; call it before editing
+     *  the state (setInput, forceValue, restore) for the next cycle. */
+    const std::vector<double> &moduleBoundEnergyJ() const;
     /** Extra per-cycle energy contributed by behavioral blocks. */
     void addBehavioralEnergyJ(double j, ModuleId top_module);
     /** The behavioral-block share of this cycle's energy (included in
@@ -307,19 +318,19 @@ class Simulator {
   private:
     void updateSequential();
     template <bool kEvent> void evalSeqGate(size_t i);
-    template <bool kEvent> void evalNode(uint32_t node);
+    void evalNode(uint32_t node);
     void sweepFull();
     void sweepEvent();
-    void enqueueNode(uint32_t node);
-    void markFanoutsDirty(GateId g, bool value_changed);
-    void clearEventQueues();
     void rebuildActiveList();
     void accumulateEnergy();
-    /// @name Sequential wake marking (event mode)
+    template <bool kPrune> void drain();
+    /// @name Event-mode marking
     /// @{
+    struct Drain; ///< the event kernel's hot loop (simulator.cc)
+    void enqueueNode(uint32_t node);
+    /** Wake the consumers of gate @p g as an active driver. */
+    void wakeGate(GateId g, uint8_t changed);
     void enqueueSeqNext(uint32_t seq_index);
-    void enqueueSeqBoth(uint32_t seq_index);
-    void markSeqConsumers(GateId g);
     void markAllSeq();
     /// @}
 
@@ -336,22 +347,31 @@ class Simulator {
     std::vector<uint32_t> seqIndexOf_; ///< gate id -> seq index
     std::vector<ModuleId> topModuleOf_;
     std::vector<GateId> inputGates_; ///< all Input-kind gates
+    std::vector<uint32_t> inputPos_; ///< their schedule positions
 
-    /// @name Event-driven worklist state (transient within a step)
+    /// @name Event-driven worklist state
     /// @{
-    std::vector<uint8_t> dirty_; ///< per node: enqueued, not processed
-    std::vector<std::vector<uint32_t>> buckets_; ///< node ids per level
+    /** One bit per schedule position: enqueued, not yet evaluated.
+     *  Empty after every drain; marks made between steps (setInput,
+     *  forceValue) wait here for the next one. */
+    std::vector<uint64_t> dirty_;
     /**
-     * Flop wake-up windows. A flop's edge-c inputs are all cycle-(c-1)
-     * quantities (fanin values, D-pin activity, own state), so any
-     * gate activity in cycle c marks its sequential consumers for the
-     * next two edges: the first sees the rise, the second the fall of
-     * the activity term. Index 0 = next edge, 1 = the edge after;
-     * rotated at each edge. Entries are seq indices.
+     * Flop wake-up marks, one bit per seq index. A flop's edge-c
+     * inputs are all cycle-(c-1) quantities (fanin values, D-pin
+     * activity, own state), so any gate activity in cycle c wakes its
+     * sequential consumers for the next two edges: the first sees the
+     * rise, the second the fall of the activity term. seqAct_[0]
+     * collects this cycle's activity marks and seqAct_[1] the previous
+     * cycle's; seqNext_ holds marks for the next edge only. Each edge
+     * drains seqNext_ | seqAct_[0] | seqAct_[1] and then ages
+     * seqAct_[0] into seqAct_[1].
      */
-    std::vector<uint32_t> seqQ_[2];
-    std::vector<uint8_t> seqMark_[2];
-    std::vector<uint32_t> seqDrain_; ///< scratch: edge being processed
+    std::vector<uint64_t> seqNext_;
+    std::vector<uint64_t> seqAct_[2];
+    /** Flops active after this cycle's edge (the drain's seeds),
+     *  appended branch-free: [0, numSeqActive_) is valid. */
+    std::vector<GateId> seqActive_;
+    size_t numSeqActive_ = 0;
     /// @}
 
     std::vector<HookFn> hookFns_;
@@ -371,7 +391,12 @@ class Simulator {
     double actualEnergy_ = 0.0;
     double boundEnergy_ = 0.0;
     double behavioralEnergy_ = 0.0;
-    std::vector<double> moduleEnergy_;
+    std::vector<double> behavioralModule_; ///< per-module hook energy
+    /// @name Lazily computed per-module split (moduleBoundEnergyJ)
+    /// @{
+    mutable std::vector<double> moduleEnergy_;
+    mutable bool moduleEnergyValid_ = false;
+    /// @}
     uint64_t cycle_ = 0;
 };
 

@@ -392,12 +392,14 @@ class Worker {
         Worker &w;
 
         void
-        load(unsigned, const Pending &p) const
+        load(unsigned, const Pending &p, bool resident) const
         {
-            if (p.simDelta)
-                w.sim_->restore(*p.simDelta);
-            else
-                w.sim_->restore(*p.simFull);
+            if (!resident) {
+                if (p.simDelta)
+                    w.sim_->restore(*p.simDelta);
+                else
+                    w.sim_->restore(*p.simFull);
+            }
             w.sys_->restore(*p.sysSnap);
         }
 
@@ -470,13 +472,15 @@ class Worker {
         Worker &w;
 
         void
-        load(unsigned l, const Pending &p) const
+        load(unsigned l, const Pending &p, bool resident) const
         {
-            if (p.simDelta)
-                w.psim_->loadLaneState(
-                    l, Simulator::materialize(*p.simDelta));
-            else
-                w.psim_->loadLaneState(l, *p.simFull);
+            if (!resident) {
+                if (p.simDelta)
+                    w.psim_->loadLaneState(
+                        l, Simulator::materialize(*p.simDelta));
+                else
+                    w.psim_->loadLaneState(l, *p.simFull);
+            }
             w.laneMem_[l].restore(p.sysSnap->mem);
             // Pending paths are never halted or faulted (either would
             // have ended the parent as a leaf / failure, not a fork).
@@ -492,6 +496,7 @@ class Worker {
             const scenario::Scenario &scen = w.cfg_.scenario;
             std::array<Word16, PackedSimulator::kLanes> ports;
             ports.fill(Word16::allX());
+            ps.setEnergyLanes(stepped); // only live lanes' energy is read
             for (uint64_t m = stepped; m; m &= m - 1) {
                 unsigned l = unsigned(__builtin_ctzll(m));
                 ports[l] = scen.portWordAt(w.paths_[l].pathCycles);
@@ -590,15 +595,16 @@ class Worker {
             // normal failure reporting.
             try {
                 unsigned loaded = 0;
-                for (uint64_t free = kSlots & ~liveMask_; free;
-                     free &= free - 1) {
+                for (uint64_t free = kSlots & ~liveMask_; free;) {
                     Pending p;
                     if (!sh.popOwn(id_, p) &&
                         !(sh.queues.size() > 1 && sh.stealFrom(id_, p)))
                         break;
                     sh.pathsExplored.fetch_add(
                         1, std::memory_order_relaxed);
-                    load(k, unsigned(__builtin_ctzll(free)), p);
+                    unsigned l = slotFor(free, p);
+                    free &= ~(uint64_t(1) << l);
+                    load(k, l, p);
                     ++loaded;
                 }
                 if (K::kWidth > 1 && loaded)
@@ -629,7 +635,35 @@ class Worker {
         sh.idleCv.notify_all();
     }
 
-    /** Install @p p into slot @p l. */
+    static const void *
+    stateOf(const Pending &p)
+    {
+        return p.simDelta ? static_cast<const void *>(p.simDelta.get())
+                          : p.simFull.get();
+    }
+
+    /** True when slot @p l still holds @p p's simulator state: it
+     *  forked that state and has not been stepped since. */
+    bool
+    resident(unsigned l, const Pending &p) const
+    {
+        return (heldMask_ >> l & 1) && slotHeld_[l].get() == stateOf(p);
+    }
+
+    /** A free slot that already holds @p p's state, else the lowest
+     *  free slot. Which slot a path runs in never changes a result. */
+    unsigned
+    slotFor(uint64_t free, const Pending &p) const
+    {
+        for (uint64_t m = free & heldMask_; m; m &= m - 1)
+            if (resident(unsigned(__builtin_ctzll(m)), p))
+                return unsigned(__builtin_ctzll(m));
+        return unsigned(__builtin_ctzll(free));
+    }
+
+    /** Install @p p into slot @p l. A slot reloaded with the state it
+     *  forked skips the restore (packed: the transpose): its state is
+     *  that snapshot already, and the wake marks it kept are exact. */
     template <class K>
     void
     load(const K &k, unsigned l, const Pending &p)
@@ -641,7 +675,7 @@ class Worker {
         P.powerW.clear();
         P.modulePowerW.clear();
         P.cycleInfo.clear();
-        k.load(l, p);
+        k.load(l, p, resident(l, p));
         liveMask_ |= uint64_t(1) << l;
     }
 
@@ -669,6 +703,11 @@ class Worker {
                 return;
             }
         }
+        // The step moves every slot's state (the packed sweep moves
+        // idle lanes too), so no slot holds a fork state past it.
+        for (uint64_t m = heldMask_; m; m &= m - 1)
+            slotHeld_[__builtin_ctzll(m)].reset();
+        heldMask_ = 0;
         k.step(stepped);
         cyclesRun += n;
         if (K::kWidth > 1) {
@@ -828,6 +867,14 @@ class Worker {
         std::shared_ptr<const Simulator::Snapshot> childFull;
         std::shared_ptr<const Simulator::DeltaSnapshot> childDelta;
         capture(sh, P.base, st, childFull, childDelta);
+        // The slot's state is the captured one until its next step.
+        // Holding a reference pins the snapshot, so its address cannot
+        // be reused by another one meanwhile.
+        if (childDelta)
+            slotHeld_[l] = childDelta;
+        else
+            slotHeld_[l] = childFull;
+        heldMask_ |= uint64_t(1) << l;
         // A forking path is neither halted nor X-store faulted.
         auto sysSnap = std::make_shared<const msp::System::Snapshot>(
             msp::System::Snapshot{k.memory(l).snapshot(), false, false});
@@ -983,6 +1030,12 @@ class Worker {
     uint64_t haltedMask_ = 0;
     uint64_t faultMask_ = 0;
     /// @}
+    /** Per slot: the fork snapshot its simulator state still equals
+     *  (set at a fork, dropped by the next step); heldMask_ marks the
+     *  set entries. */
+    std::array<std::shared_ptr<const void>, PackedSimulator::kLanes>
+        slotHeld_;
+    uint64_t heldMask_ = 0;
 };
 
 } // namespace

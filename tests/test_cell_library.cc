@@ -63,6 +63,47 @@ TEST(CellEval, Mux2SelectsByThirdPin)
     EXPECT_EQ(evalCell(CellKind::Mux2, in3), O);
 }
 
+TEST(CellEval, TruthTableMatchesEvalCellExhaustively)
+{
+    // Every combinational kind (Const cells included), every
+    // {0,1,X}^nin input: the event kernel's table lookup must equal
+    // evalCell. Pins beyond nin are padded the way the kernel pads
+    // them (repeating pin 0), and every other padding too, since the
+    // table must not depend on don't-care pins.
+    const V4 vals[3] = {V4::Zero, V4::One, V4::X};
+    size_t checked = 0;
+    for (size_t k = 0; k < kNumCellKinds; ++k) {
+        CellKind kind = CellKind(k);
+        if (isSequential(kind) || kind == CellKind::Input)
+            continue;
+        unsigned nin = cellFaninCount(kind);
+        unsigned combos = 1;
+        for (unsigned p = 0; p < 4; ++p)
+            combos *= 3;
+        for (unsigned c = 0; c < combos; ++c) {
+            V4 in[4];
+            unsigned rest = c;
+            for (unsigned p = 0; p < 4; ++p, rest /= 3)
+                in[p] = vals[rest % 3];
+            V4 want = evalCell(kind, in);
+            V4 got = kCellTruthTable[k][cellTableIndex(in[0], in[1],
+                                                       in[2], in[3])];
+            ASSERT_EQ(got, want)
+                << cellName(kind) << " input " << c << " (nin " << nin
+                << ")";
+            ++checked;
+        }
+    }
+    EXPECT_EQ(checked, size_t(kNumCellKinds - 5) * 81u);
+
+    // Input's row is the identity on pin 0, whatever the other pins.
+    for (V4 a : vals)
+        for (V4 b : vals)
+            EXPECT_EQ(kCellTruthTable[size_t(CellKind::Input)]
+                                     [cellTableIndex(a, b, b, a)],
+                      a);
+}
+
 TEST(SeqCell, DffLoads)
 {
     bool held = false;

@@ -330,9 +330,9 @@ TEST_F(LintTest, EnergySplitMatchesMask)
     double quiescent = 0.0, switching = 0.0;
     for (GateId g = 0; g < GateId(nl.numGates()); ++g) {
         if (ca.pruneMask[g])
-            quiescent += f.maxE[g];
+            quiescent += f.energy[g][2];
         if (ca.value[g] == V4::X)
-            switching += f.maxE[g];
+            switching += f.energy[g][2];
     }
     EXPECT_NEAR(ca.quiescentEnergyJ, quiescent, 1e-18);
     EXPECT_NEAR(ca.switchingBoundJ,

@@ -79,7 +79,9 @@ TEST_F(NetlistTest, FlatViewMirrorsGates)
         ASSERT_EQ(f.faninOffset[g + 1] - f.faninOffset[g], gate.nin);
         for (unsigned p = 0; p < gate.nin; ++p)
             EXPECT_EQ(f.fanin[f.faninOffset[g] + p], gate.in[p]);
-        EXPECT_EQ(f.maxE[g],
+        EXPECT_EQ(f.energy[g][0], nl.riseEnergyJ(g));
+        EXPECT_EQ(f.energy[g][1], nl.fallEnergyJ(g));
+        EXPECT_EQ(f.energy[g][2],
                   std::max(nl.riseEnergyJ(g), nl.fallEnergyJ(g)));
     }
 
@@ -140,6 +142,42 @@ TEST_F(NetlistTest, FlatScheduleIsLevelizedTopologicalOrder)
     EXPECT_LT(f.levelOfNode[c], f.levelOfNode[hookNode]);
     EXPECT_LT(f.levelOfNode[hookNode], f.levelOfNode[hookOut]);
     EXPECT_LT(f.levelOfNode[hookOut], f.levelOfNode[d]);
+
+    // The event kernel's per-position records mirror the gate: four
+    // padded fanins (a missing pin repeats pin 0; a gate without
+    // fanins names itself), and fanout ranges whose consumers all sit
+    // at strictly higher positions -- what the ascending drain relies
+    // on.
+    ASSERT_EQ(f.nodeRec.size(), f.schedule.size());
+    ASSERT_EQ(f.fanoutPos.size(), f.fanout.size());
+    for (uint32_t pos = 0; pos < f.schedule.size(); ++pos) {
+        const FlatNetlist::NodeRec &r = f.nodeRec[pos];
+        uint32_t node = f.schedule[pos];
+        EXPECT_EQ(r.node, node);
+        if (node >= n) {
+            EXPECT_EQ(r.kind, FlatNetlist::kHookKind);
+            EXPECT_EQ(r.fanoutBegin, r.fanoutEnd);
+            EXPECT_EQ(r.seqBegin, r.seqEnd);
+            continue;
+        }
+        const Gate &gate = nl.gate(node);
+        EXPECT_EQ(r.kind, gate.kind);
+        EXPECT_EQ(r.xActive, gate.kind == CellKind::Input ? 1 : 0);
+        for (unsigned p = 0; p < 4; ++p) {
+            GateId want = p < gate.nin ? gate.in[p]
+                          : gate.nin   ? gate.in[0]
+                                       : node;
+            EXPECT_EQ(r.in[p], want) << "node " << node << " pin " << p;
+        }
+        EXPECT_EQ(r.fanoutBegin, f.fanoutOffset[node]);
+        EXPECT_EQ(r.fanoutEnd, f.fanoutOffset[node + 1]);
+        EXPECT_EQ(r.seqBegin, f.seqFanoutOffset[node]);
+        EXPECT_EQ(r.seqEnd, f.seqFanoutOffset[node + 1]);
+        for (uint32_t i = r.fanoutBegin; i < r.fanoutEnd; ++i) {
+            EXPECT_EQ(f.fanoutPos[i], f.posOfNode[f.fanout[i]]);
+            EXPECT_GT(f.fanoutPos[i], pos);
+        }
+    }
 }
 
 TEST_F(NetlistTest, CombinationalLoopDetected)

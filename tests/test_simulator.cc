@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include "bench430/benchmarks.hh"
 #include "hw/builder.hh"
+#include "lint/lint.hh"
 #include "sim/simulator.hh"
 #include "tests/cpu_test_util.hh"
 
@@ -309,6 +311,129 @@ TEST(SimulatorKernel, EventDrivenMatchesFullSweepCpuXRun)
             sysFs.driveCycle(s, Word16::allX());
         });
         expectLockstepCycle(ev, fs, "cpu-x", ev.cycle());
+    }
+}
+
+/** The full-sweep twin of test::sharedSystem() for the locksteps
+ *  below (elaboration is deterministic, so gate ids line up). */
+msp::System &
+fullSweepTwin()
+{
+    static msp::System system(CellLibrary::tsmc65Like());
+    return system;
+}
+
+/** Reset both systems onto @p img and attach fresh simulators. */
+void
+startLockstep(const isa::Image &img, msp::System &sysEv,
+              msp::System &sysFs, Simulator &ev, Simulator &fs)
+{
+    for (msp::System *s : {&sysEv, &sysFs}) {
+        s->memory().reset();
+        s->loadImage(img);
+        s->clearHalted();
+    }
+    sysEv.attach(ev);
+    sysFs.attach(fs);
+    sysEv.reset(ev);
+    sysFs.reset(fs);
+}
+
+/** One all-X-port cycle on both kernels, then every observable and
+ *  every gate value must agree. */
+void
+stepXPortLockstep(msp::System &sysEv, msp::System &sysFs,
+                  Simulator &ev, Simulator &fs, const char *what)
+{
+    ev.step([&](Simulator &s) { sysEv.driveCycle(s, Word16::allX()); });
+    fs.step([&](Simulator &s) { sysFs.driveCycle(s, Word16::allX()); });
+    expectLockstepCycle(ev, fs, what, ev.cycle());
+    for (GateId g = 0; g < ev.netlist().numGates(); ++g)
+        ASSERT_EQ(ev.value(g), fs.value(g))
+            << what << " gate " << g << " cycle " << ev.cycle();
+}
+
+TEST(SimulatorKernel, Bench430XPortLockstepWithAndWithoutPrune)
+{
+    // The symbolic regime on every bench430 program: per cycle,
+    // actual/bound/behavioral energy, the lazily computed module split
+    // and the activity list of the event kernel -- once plain, once
+    // with an engaged static-prune mask -- against the unpruned full
+    // sweep.
+    msp::System &sysEv = test::sharedSystem();
+    msp::System &sysFs = fullSweepTwin();
+    const Netlist &nl = sysEv.netlist();
+    ASSERT_EQ(nl.numGates(), sysFs.netlist().numGates());
+
+    lint::ConstAnalysisOptions lopts;
+    const msp::CpuHandles &h = sysEv.handles();
+    lopts.portBits.assign(h.portIn.begin(), h.portIn.end());
+    lopts.drivenConstants = {{h.rstn, V4::One}, {h.irq, V4::Zero}};
+    lint::ConstAnalysis ca = lint::analyzeConstants(nl, lopts);
+    auto mask = std::make_shared<const std::vector<uint8_t>>(
+        std::move(ca.pruneMask));
+    ASSERT_GT(ca.prunable, 0u);
+
+    for (const bench430::Benchmark &b : bench430::allBenchmarks()) {
+        isa::Image img = b.assembleImage();
+        for (bool prune : {false, true}) {
+            std::string what = b.name + (prune ? "/prune" : "/plain");
+            Simulator ev(nl, EvalMode::EventDriven);
+            Simulator fs(sysFs.netlist(), EvalMode::FullSweep);
+            startLockstep(img, sysEv, sysFs, ev, fs);
+            if (prune)
+                ev.setStaticPrune(mask,
+                                  ev.cycle() + 1 + ca.maxPruneDepth);
+            unsigned engaged = 0;
+            for (int c = 0; c < 160 && !sysEv.halted(); ++c) {
+                stepXPortLockstep(sysEv, sysFs, ev, fs, what.c_str());
+                if (HasFatalFailure())
+                    return;
+                engaged += ev.staticPruneActive();
+            }
+            if (prune)
+                EXPECT_GT(engaged, 0u) << what;
+        }
+    }
+}
+
+TEST(SimulatorKernel, RestoreOverStaleDirtyMarks)
+{
+    // Between-step edits leave marks in the event kernel's dirty
+    // bitmap; a restore rewrites the state under them. Draining those
+    // stale marks must be harmless: evaluating a clean gate reproduces
+    // its full-sweep value and activity.
+    msp::System &sysEv = test::sharedSystem();
+    msp::System &sysFs = fullSweepTwin();
+    const Netlist &nl = sysEv.netlist();
+    isa::Image img = bench430::benchmarkByName("mult").assembleImage();
+    Simulator ev(nl, EvalMode::EventDriven);
+    Simulator fs(sysFs.netlist(), EvalMode::FullSweep);
+    startLockstep(img, sysEv, sysFs, ev, fs);
+
+    for (int c = 0; c < 40; ++c)
+        stepXPortLockstep(sysEv, sysFs, ev, fs, "prefix");
+    Simulator::Snapshot evSnap = ev.snapshot();
+    Simulator::Snapshot fsSnap = fs.snapshot();
+    msp::System::Snapshot evSys = sysEv.snapshot();
+    msp::System::Snapshot fsSys = sysFs.snapshot();
+
+    for (int round = 0; round < 3; ++round) {
+        // Drive every input off its value between steps: marks over
+        // the whole input fanout, then thrown away by the restore.
+        for (GateId g = 0; g < nl.numGates(); ++g)
+            if (nl.gate(g).kind == CellKind::Input)
+                ev.setInput(g, ev.value(g) == V4::One ? V4::Zero
+                                                      : V4::One);
+        ev.restore(evSnap);
+        fs.restore(fsSnap);
+        sysEv.restore(evSys);
+        sysFs.restore(fsSys);
+        for (int c = 0; c < 30; ++c) {
+            stepXPortLockstep(sysEv, sysFs, ev, fs, "after restore");
+            if (HasFatalFailure())
+                return;
+        }
     }
 }
 

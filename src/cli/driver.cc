@@ -192,9 +192,9 @@ parseArgs(int argc, const char *const *argv, CliOptions &out,
                 return false;
             }
             if (a == "--jobs")
-                out.jobs = n;
+                out.batch.jobs = n;
             else
-                out.threads = n;
+                out.batch.analysis.numThreads = n;
         } else if (a == "--loop-bound" || a == "--max-cycles") {
             const char *v = value(a.c_str());
             if (!v)
@@ -205,14 +205,15 @@ parseArgs(int argc, const char *const *argv, CliOptions &out,
                 return false;
             }
             if (a == "--loop-bound")
-                out.loopBound = unsigned(n);
+                out.batch.analysis.inputDependentLoopBound =
+                    unsigned(n);
             else
-                out.maxTotalCycles = n;
+                out.batch.analysis.maxTotalCycles = n;
         } else if (a == "--freq") {
             const char *v = value("--freq");
             if (!v)
                 return false;
-            if (!parsePositiveDouble(v, out.freqHz)) {
+            if (!parsePositiveDouble(v, out.batch.analysis.freqHz)) {
                 err = std::string("--freq: bad frequency: ") + v;
                 return false;
             }
@@ -221,9 +222,9 @@ parseArgs(int argc, const char *const *argv, CliOptions &out,
             if (!v)
                 return false;
             if (std::string(v) == "event")
-                out.evalMode = EvalMode::EventDriven;
+                out.batch.analysis.evalMode = EvalMode::EventDriven;
             else if (std::string(v) == "full")
-                out.evalMode = EvalMode::FullSweep;
+                out.batch.analysis.evalMode = EvalMode::FullSweep;
             else {
                 err = std::string("--eval-mode: expected event|full, "
                                   "got ") +
@@ -232,7 +233,7 @@ parseArgs(int argc, const char *const *argv, CliOptions &out,
             }
         } else if (a == "--envelope" ||
                    a.rfind("--envelope=", 0) == 0) {
-            out.envelope = true;
+            out.batch.analysis.recordEnvelope = true;
             if (a.size() > std::strlen("--envelope")) {
                 out.envelopeFormat =
                     a.substr(std::strlen("--envelope="));
@@ -256,9 +257,9 @@ parseArgs(int argc, const char *const *argv, CliOptions &out,
                 }
             }
         } else if (a == "--static-prune") {
-            out.staticPrune = true;
+            out.batch.analysis.staticPrune = true;
         } else if (a == "--packed-explore") {
-            out.packedExplore = true;
+            out.batch.analysis.packedExplore = true;
         } else if (a == "--no-timings") {
             out.noTimings = true;
         } else if (a == "--scenario") {
@@ -280,7 +281,9 @@ parseArgs(int argc, const char *const *argv, CliOptions &out,
                 return false;
             std::stringstream ss(v);
             std::string item;
-            out.windows.clear();
+            std::vector<unsigned> &windows =
+                out.batch.analysis.envelopeWindows;
+            windows.clear();
             while (std::getline(ss, item, ',')) {
                 uint64_t n = 0;
                 if (!parseUnsigned(item, n) || n == 0 ||
@@ -290,9 +293,9 @@ parseArgs(int argc, const char *const *argv, CliOptions &out,
                           item;
                     return false;
                 }
-                out.windows.push_back(unsigned(n));
+                windows.push_back(unsigned(n));
             }
-            if (out.windows.empty()) {
+            if (windows.empty()) {
                 err = "--windows: empty list";
                 return false;
             }
@@ -310,11 +313,11 @@ parseArgs(int argc, const char *const *argv, CliOptions &out,
             const char *v = value("--cache-dir");
             if (!v)
                 return false;
-            out.cacheDir = v;
+            out.batch.cacheDir = v;
         } else if (a == "--no-cache") {
             out.noCache = true;
         } else if (a == "--fail-fast") {
-            out.failFast = true;
+            out.batch.failFast = true;
         } else if (a == "--quiet") {
             out.quiet = true;
         } else if (!a.empty() && a[0] == '-') {
@@ -375,24 +378,14 @@ resolvePrograms(const std::vector<std::string> &specs)
 peak::BatchOptions
 toBatchOptions(const CliOptions &cli)
 {
-    peak::BatchOptions b;
-    b.analysis.freqHz = cli.freqHz;
-    b.analysis.evalMode = cli.evalMode;
-    b.analysis.numThreads = cli.threads;
-    b.analysis.inputDependentLoopBound = cli.loopBound;
-    b.analysis.maxTotalCycles = cli.maxTotalCycles;
-    b.analysis.staticPrune = cli.staticPrune;
-    b.analysis.packedExplore = cli.packedExplore;
+    peak::BatchOptions b = cli.batch;
     // The mode report is sliced from the envelope, so --modes
     // records one even without an explicit --envelope.
-    b.analysis.recordEnvelope = cli.envelope || cli.modes;
-    if (!cli.windows.empty())
-        b.analysis.envelopeWindows = cli.windows;
+    b.analysis.recordEnvelope |= cli.modes;
     for (const std::string &spec : cli.scenarioSpecs)
         b.scenarios.push_back(scenario::Scenario::resolve(spec));
-    b.jobs = cli.jobs;
-    b.cacheDir = cli.noCache ? "" : cli.cacheDir;
-    b.failFast = cli.failFast;
+    if (cli.noCache)
+        b.cacheDir.clear();
     return b;
 }
 
@@ -912,7 +905,7 @@ runCli(int argc, const char *const *argv)
                 std::printf("  finding: %s\n", f.c_str());
         }
     }
-    if (cli.envelope && cli.envelopeFormat == "csv")
+    if (cli.envelopeFormat == "csv")
         std::fputs(toEnvelopeCsv(rep).c_str(), stdout);
     if (cli.modes && cli.modesFormat == "json")
         std::fputs(toModesJson(rep, modeReps).c_str(), stdout);

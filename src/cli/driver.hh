@@ -45,30 +45,22 @@ namespace cli {
 /** Parsed command line of the `ulpeak` tool. */
 struct CliOptions {
     std::vector<std::string> programSpecs; ///< names / "all" / paths
-    unsigned jobs = 1;          ///< program-level workers (--jobs)
-    unsigned threads = 1;       ///< per-analysis workers (--threads)
-    double freqHz = 100e6;      ///< operating frequency (--freq)
-    EvalMode evalMode = EvalMode::EventDriven; ///< --eval-mode
-    unsigned loopBound = 0;     ///< --loop-bound
-    uint64_t maxTotalCycles = 3000000; ///< --max-cycles
-    /** --static-prune: skip gates lint::analyzeConstants proves
-     *  constant under each scenario (peak::Options::staticPrune).
-     *  Never changes a reported number (fuzz property 9), so like
-     *  --eval-mode it is excluded from the result cache key. */
-    bool staticPrune = false;
-    /** --packed-explore: drain the exploration frontier through the
-     *  bit-parallel 64-lane kernel (peak::Options::packedExplore).
-     *  Never changes a reported number (fuzz --mode packed-sym), so
-     *  like --eval-mode it is excluded from the result cache key. */
-    bool packedExplore = false;
+    /** The batch and engine options, written by parseArgs directly:
+     *  --jobs, --cache-dir and --fail-fast set the BatchOptions
+     *  fields of those names; --threads (numThreads), --freq,
+     *  --eval-mode, --loop-bound (inputDependentLoopBound),
+     *  --max-cycles (maxTotalCycles), --static-prune,
+     *  --packed-explore, --envelope (recordEnvelope) and --windows
+     *  (envelopeWindows) set batch.analysis, whose knobs are
+     *  documented on sym::SymbolicConfig. Its one CLI-specific
+     *  default: results cache in .ulpeak-cache. */
+    peak::BatchOptions batch;
     std::string jsonPath;       ///< --json FILE ("" = no JSON output)
     std::string csvPath;        ///< --csv FILE ("" = no CSV output)
-    /** --envelope[=json|csv]: record per-cycle peak power envelopes
-     *  and windowed peak-energy curves. json embeds them in the
+    /** --envelope[=json|csv]: json embeds the envelopes in the
      *  --json report (plus a table summary); csv additionally
      *  streams per-cycle rows to stdout (cli::toEnvelopeCsv). */
-    bool envelope = false;
-    std::string envelopeFormat = "json"; ///< json | csv
+    std::string envelopeFormat = "json";
     /** --modes[=table|json|csv]: per-operating-mode report of
      *  mode-scheduled scenarios (peak::buildModeReport): per-mode
      *  envelope slices, schedule transitions with settling-window
@@ -84,19 +76,17 @@ struct CliOptions {
      *  reports from different --jobs/--threads/cache runs are
      *  byte-identical. */
     bool noTimings = false;
-    /** --windows: window lengths [cycles] of the peak-energy curves. */
-    std::vector<unsigned> windows;
     /** --scenario SPEC[,SPEC...]: deployment scenarios to sweep the
      *  suite across. Each spec is a preset name
      *  (scenario::Scenario::presetNames()) or a path to a scenario
      *  JSON file (anything containing '/' or ending in .json).
      *  Empty = unconstrained only. */
     std::vector<std::string> scenarioSpecs;
-    std::string cacheDir = ".ulpeak-cache"; ///< --cache-dir
     bool noCache = false;       ///< --no-cache
-    bool failFast = false;      ///< --fail-fast
     bool quiet = false;         ///< --quiet: suppress the table
     bool help = false;          ///< --help
+
+    CliOptions() { batch.cacheDir = ".ulpeak-cache"; }
 };
 
 /** The --help text. */
@@ -113,9 +103,10 @@ bool parseArgs(int argc, const char *const *argv, CliOptions &out,
 std::vector<peak::BatchProgram>
 resolvePrograms(const std::vector<std::string> &specs);
 
-/** Map a parsed command line onto batch-analysis options; resolves
- *  --scenario specs (throws std::runtime_error on unknown presets or
- *  unreadable/malformed scenario files, naming the offending spec). */
+/** The batch options of a parsed command line: CliOptions::batch
+ *  plus the resolved --scenario specs, --modes' envelope recording
+ *  and --no-cache. Throws std::runtime_error on unknown presets or
+ *  unreadable/malformed scenario files, naming the offending spec. */
 peak::BatchOptions toBatchOptions(const CliOptions &cli);
 
 /** Serialize a suite report as JSON. With @p include_timings = false

@@ -76,7 +76,7 @@ runReplay(const FaultCliOptions &cli)
     isa::Image image = progs.front().image;
     CellLibrary lib = CellLibrary::tsmc65Like();
     fault::CampaignOptions copts = toCampaignOptions(cli);
-    foldBenchmarkInputs(progs.front().name, cli.seed, image,
+    foldBenchmarkInputs(progs.front().name, copts.seed, image,
                         copts.portIn, cli.portSet);
 
     msp::System sys(lib);
@@ -112,8 +112,7 @@ runReplay(const FaultCliOptions &cli)
 
     peak::Envelope env;
     if (copts.withEnvelope) {
-        peak::Options aopts = copts.analysis;
-        aopts.freqHz = copts.freqHz;
+        peak::Options aopts = copts;
         aopts.recordEnvelope = true;
         peak::Report rep = peak::analyze(sys, image, aopts);
         if (rep.ok && rep.envelope.present) {
@@ -196,6 +195,7 @@ bool
 parseFaultArgs(int argc, const char *const *argv, FaultCliOptions &out,
                std::string &err)
 {
+    fault::CampaignOptions &c = out.campaign;
     auto need = [&](int i) -> const char * {
         if (i + 1 >= argc)
             return nullptr;
@@ -208,9 +208,9 @@ parseFaultArgs(int argc, const char *const *argv, FaultCliOptions &out,
             out.help = true;
             return true;
         } else if (a == "--scalar") {
-            out.scalar = true;
+            c.packed = false;
         } else if (a == "--envelope") {
-            out.envelope = true;
+            c.withEnvelope = true;
         } else if (a == "--no-cache") {
             out.noCache = true;
         } else if (a == "--no-timings") {
@@ -218,20 +218,20 @@ parseFaultArgs(int argc, const char *const *argv, FaultCliOptions &out,
         } else if (a == "--quiet") {
             out.quiet = true;
         } else if (a == "--seed") {
-            if (!(v = need(i)) || !parseU64(v, out.seed)) {
+            if (!(v = need(i)) || !parseU64(v, c.seed)) {
                 err = "--seed needs an integer";
                 return false;
             }
             ++i;
         } else if (a == "--jobs") {
-            if (!(v = need(i)) || !parsePositiveInt(v, out.jobs)) {
+            if (!(v = need(i)) || !parsePositiveInt(v, c.jobs)) {
                 err = "--jobs needs a positive integer";
                 return false;
             }
             ++i;
         } else if (a == "--cycles-per-site") {
             if (!(v = need(i)) ||
-                !parsePositiveInt(v, out.cyclesPerSite)) {
+                !parsePositiveInt(v, c.cyclesPerSite)) {
                 err = "--cycles-per-site needs a positive integer";
                 return false;
             }
@@ -242,7 +242,7 @@ parseFaultArgs(int argc, const char *const *argv, FaultCliOptions &out,
                 err = "--max-sites needs an integer";
                 return false;
             }
-            out.maxSites = size_t(n);
+            c.maxFlopSites = size_t(n);
             ++i;
         } else if (a == "--ram-sites") {
             uint64_t n;
@@ -250,10 +250,10 @@ parseFaultArgs(int argc, const char *const *argv, FaultCliOptions &out,
                 err = "--ram-sites needs an integer";
                 return false;
             }
-            out.ramSites = size_t(n);
+            c.ramSites = size_t(n);
             ++i;
         } else if (a == "--hang-cycles") {
-            if (!(v = need(i)) || !parseU64(v, out.hangCycles)) {
+            if (!(v = need(i)) || !parseU64(v, c.hangCycles)) {
                 err = "--hang-cycles needs an integer";
                 return false;
             }
@@ -264,7 +264,7 @@ parseFaultArgs(int argc, const char *const *argv, FaultCliOptions &out,
                 err = "--port needs a 16-bit integer";
                 return false;
             }
-            out.port = uint16_t(n);
+            c.portIn = uint16_t(n);
             out.portSet = true;
             ++i;
         } else if (a == "--freq") {
@@ -272,7 +272,7 @@ parseFaultArgs(int argc, const char *const *argv, FaultCliOptions &out,
             // returned 8e6, so a typo ran the whole campaign at the
             // wrong idea of what was checked.
             if (!(v = need(i)) ||
-                !parsePositiveDouble(v, out.freqHz)) {
+                !parsePositiveDouble(v, c.freqHz)) {
                 err = "--freq needs a positive frequency";
                 return false;
             }
@@ -304,7 +304,7 @@ parseFaultArgs(int argc, const char *const *argv, FaultCliOptions &out,
                 err = "--cache-dir needs a directory";
                 return false;
             }
-            out.cacheDir = v;
+            c.cacheDir = v;
             ++i;
         } else if (a == "--replay") {
             if (!(v = need(i))) {
@@ -345,18 +345,9 @@ parseFaultArgs(int argc, const char *const *argv, FaultCliOptions &out,
 fault::CampaignOptions
 toCampaignOptions(const FaultCliOptions &cli)
 {
-    fault::CampaignOptions o;
-    o.seed = cli.seed;
-    o.jobs = cli.jobs;
-    o.packed = !cli.scalar;
-    o.cyclesPerSite = cli.cyclesPerSite;
-    o.maxFlopSites = cli.maxSites;
-    o.ramSites = cli.ramSites;
-    o.portIn = cli.port;
-    o.hangCycles = cli.hangCycles;
-    o.freqHz = cli.freqHz;
-    o.withEnvelope = cli.envelope;
-    o.cacheDir = cli.noCache ? "" : cli.cacheDir;
+    fault::CampaignOptions o = cli.campaign;
+    if (cli.noCache)
+        o.cacheDir.clear();
     return o;
 }
 
@@ -488,7 +479,7 @@ runFaultCli(int argc, const char *const *argv)
         const peak::BatchProgram &prog = progs.front();
         fault::CampaignOptions copts = toCampaignOptions(cli);
         isa::Image image = prog.image;
-        foldBenchmarkInputs(prog.name, cli.seed, image, copts.portIn,
+        foldBenchmarkInputs(prog.name, copts.seed, image, copts.portIn,
                             cli.portSet);
         fault::CampaignResult res = fault::runCampaign(
             CellLibrary::tsmc65Like(), image, copts);

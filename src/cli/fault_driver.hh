@@ -44,29 +44,27 @@ namespace cli {
 
 /** Parsed command line of the `ulfault` tool. */
 struct FaultCliOptions {
+    /** The campaign, written by parseFaultArgs directly: --seed,
+     *  --jobs, --scalar (packed = false), --cycles-per-site,
+     *  --max-sites (maxFlopSites), --ram-sites, --hang-cycles,
+     *  --port (portIn), --freq, --envelope (withEnvelope),
+     *  --cache-dir. Its one CLI-specific default: the campaign
+     *  cache lives in .ulpeak-cache. */
+    fault::CampaignOptions campaign;
     std::string programSpec;   ///< registry name or .s path
-    uint64_t seed = 1;         ///< --seed
-    unsigned jobs = 1;         ///< --jobs: campaign workers
-    bool scalar = false;       ///< --scalar: disable the packed runner
-    unsigned cyclesPerSite = 1; ///< --cycles-per-site
-    size_t maxSites = 0;       ///< --max-sites (0 = every flop)
-    size_t ramSites = 0;       ///< --ram-sites
-    uint64_t hangCycles = 0;   ///< --hang-cycles (0 = auto)
-    uint16_t port = 0;         ///< --port
     bool portSet = false;      ///< --port was given explicitly
-    double freqHz = 100e6;     ///< --freq
-    bool envelope = false;     ///< --envelope: escape detection
     unsigned top = 20;         ///< --top N: table rows
     std::string jsonPath;      ///< --json FILE
     std::string csvPath;       ///< --csv FILE
     bool noTimings = false;    ///< --no-timings: deterministic JSON
-    std::string cacheDir = ".ulpeak-cache"; ///< --cache-dir
     bool noCache = false;      ///< --no-cache
     bool replay = false;       ///< --replay SITE@CYCLE given
     uint32_t replaySite = 0;
     uint64_t replayCycle = 0;
     bool quiet = false;        ///< --quiet: suppress the table
     bool help = false;         ///< --help
+
+    FaultCliOptions() { campaign.cacheDir = ".ulpeak-cache"; }
 };
 
 std::string faultUsage();
@@ -75,7 +73,7 @@ std::string faultUsage();
 bool parseFaultArgs(int argc, const char *const *argv,
                     FaultCliOptions &out, std::string &err);
 
-/** Map a parsed command line onto campaign options. */
+/** The campaign of a parsed command line (--no-cache applied). */
 fault::CampaignOptions toCampaignOptions(const FaultCliOptions &cli);
 
 /** Serialize a campaign report as JSON. With @p include_timings =

@@ -222,9 +222,11 @@ campaignCacheKey(const CellLibrary &lib, const isa::Image &image,
         util::hashDouble(h, p.areaUm2);
         util::hashDouble(h, p.clkPinEnergyJ);
     }
-    // Result-affecting campaign options. jobs, packed and evalMode
-    // are excluded: the determinism contract makes them
-    // classification-invariant (and the tests lockstep them).
+    // Result-affecting campaign options. jobs, packed and the
+    // engine's strategy knobs (evalMode, numThreads, ...) are
+    // excluded: the determinism contract makes them
+    // classification-invariant (and the tests lockstep them). The
+    // analysis limits and the scenario only shape the envelope.
     util::hashU64(h, opts.seed);
     util::hashU64(h, opts.cyclesPerSite);
     util::hashU64(h, opts.maxFlopSites);
@@ -235,10 +237,11 @@ campaignCacheKey(const CellLibrary &lib, const isa::Image &image,
     util::hashDouble(h, opts.freqHz);
     util::hashU64(h, opts.withEnvelope ? 1 : 0);
     if (opts.withEnvelope) {
-        util::hashDouble(h, opts.analysis.freqHz);
-        util::hashU64(h, opts.analysis.maxTotalCycles);
-        util::hashU64(h, opts.analysis.inputDependentLoopBound);
-        opts.analysis.scenario.hashInto(h);
+        util::hashU64(h, opts.maxTotalCycles);
+        util::hashU64(h, opts.maxPathCycles);
+        util::hashU64(h, opts.maxNodes);
+        util::hashU64(h, opts.inputDependentLoopBound);
+        opts.scenario.hashInto(h);
     }
     auto words = image.flatten();
     util::hashU64(h, words.size());
@@ -324,9 +327,7 @@ runCampaign(const CellLibrary &lib, const isa::Image &image,
     // note, not a campaign error: classification proceeds without).
     peak::Envelope envelope;
     if (opts.withEnvelope) {
-        peak::Options aopts = opts.analysis;
-        aopts.freqHz = opts.freqHz;
-        aopts.evalMode = opts.evalMode;
+        peak::Options aopts = opts;
         aopts.recordEnvelope = true;
         peak::Report rep = peak::analyze(sys, image, aopts);
         if (rep.ok && rep.envelope.present) {

@@ -39,7 +39,13 @@
 namespace ulpeak {
 namespace fault {
 
-struct CampaignOptions {
+/** Campaign options. The inherited analysis knobs (documented on
+ *  sym::SymbolicConfig) are the campaign's own: freqHz scales every
+ *  faulted run's power trace, evalMode picks the golden and scalar
+ *  faulted runs' kernel (classification-invariant by contract), and
+ *  all of them steer the envelope analysis of withEnvelope, which
+ *  sets recordEnvelope itself. */
+struct CampaignOptions : peak::Options {
     uint64_t seed = 1;
     /** Worker threads (<= 1: serial on the calling thread). */
     unsigned jobs = 1;
@@ -53,18 +59,12 @@ struct CampaignOptions {
     /** Random RAM-bit sites appended after the flop sites. */
     size_t ramSites = 0;
     uint16_t portIn = 0;
-    /** Scalar-path kernel (classification-invariant by contract). */
-    EvalMode evalMode = EvalMode::EventDriven;
     /** Budget of the golden (unfaulted) run. */
     uint64_t goldenMaxCycles = 60000;
     /** Hang budget of faulted runs; 0 = 4 * golden cycles + 64. */
     uint64_t hangCycles = 0;
-    double freqHz = 100e6;
     /** Analyze the X-based envelope and flag escapes. */
     bool withEnvelope = false;
-    /** Envelope analysis options (only freqHz-consistent,
-     *  result-affecting fields participate in the cache key). */
-    peak::Options analysis;
     /** Disk cache directory; "" disables caching. */
     std::string cacheDir;
 };

@@ -122,47 +122,62 @@ kernelEquivalenceCheck(uint64_t seed, const NetlistGenOptions &opts,
 
 namespace {
 
-std::string
-compareReports(const peak::Report &a, const peak::Report &b,
-               const char *what_a, const char *what_b)
-{
+/** Collects one "name: A=va B=vb" line per field two reports
+ *  disagree on. */
+struct ReportDiff {
+    const char *whatA, *whatB;
     std::ostringstream os;
+
+    ReportDiff(const char *what_a, const char *what_b)
+        : whatA(what_a), whatB(what_b)
+    {
+    }
+
+    void
+    field(const char *name, double va, double vb)
+    {
+        if (va != vb)
+            os << name << ": " << whatA << "=" << va << " " << whatB
+               << "=" << vb << "\n";
+    }
+};
+
+/**
+ * The fields every report identity property pins: ok/error, the four
+ * bounds and the envelope. Returns whether both analyses succeeded,
+ * i.e. whether the caller's further fields are comparable.
+ */
+bool
+compareBounds(ReportDiff &d, const peak::Report &a, const peak::Report &b)
+{
+    std::ostringstream &os = d.os;
     if (!a.ok && !b.ok) {
         // Both analyses rejected the program the same way: the
         // determinism property holds trivially. Different errors mean
         // the outcome itself was scheduling/kernel-dependent.
         if (a.error != b.error)
-            os << "errors differ: " << what_a << "=\"" << a.error
-               << "\" " << what_b << "=\"" << b.error << "\"\n";
-        return os.str();
+            os << "errors differ: " << d.whatA << "=\"" << a.error
+               << "\" " << d.whatB << "=\"" << b.error << "\"\n";
+        return false;
     }
     if (!a.ok || !b.ok) {
-        os << what_a << " ok=" << a.ok << " (" << a.error << "), "
-           << what_b << " ok=" << b.ok << " (" << b.error << ")\n";
-        return os.str();
+        os << d.whatA << " ok=" << a.ok << " (" << a.error << "), "
+           << d.whatB << " ok=" << b.ok << " (" << b.error << ")\n";
+        return false;
     }
-    auto field = [&](const char *name, double va, double vb) {
-        if (va != vb)
-            os << name << ": " << what_a << "=" << va << " " << what_b
-               << "=" << vb << "\n";
-    };
-    field("peakPowerW", a.peakPowerW, b.peakPowerW);
-    field("peakEnergyJ", a.peakEnergyJ, b.peakEnergyJ);
-    field("npeJPerCycle", a.npeJPerCycle, b.npeJPerCycle);
-    field("maxPathCycles", double(a.maxPathCycles),
-          double(b.maxPathCycles));
-    field("totalCycles", double(a.totalCycles), double(b.totalCycles));
-    field("pathsExplored", double(a.pathsExplored),
-          double(b.pathsExplored));
-    field("dedupMerges", double(a.dedupMerges), double(b.dedupMerges));
+    d.field("peakPowerW", a.peakPowerW, b.peakPowerW);
+    d.field("peakEnergyJ", a.peakEnergyJ, b.peakEnergyJ);
+    d.field("npeJPerCycle", a.npeJPerCycle, b.npeJPerCycle);
+    d.field("maxPathCycles", double(a.maxPathCycles),
+            double(b.maxPathCycles));
     if (a.envelope.present != b.envelope.present) {
-        os << "envelope.present: " << what_a << "="
-           << a.envelope.present << " " << what_b << "="
+        os << "envelope.present: " << d.whatA << "="
+           << a.envelope.present << " " << d.whatB << "="
            << b.envelope.present << "\n";
     } else if (a.envelope.present) {
         if (a.envelope.powerW != b.envelope.powerW)
-            os << "envelope.powerW: traces differ (" << what_a << " "
-               << a.envelope.powerW.size() << " cycles, " << what_b
+            os << "envelope.powerW: traces differ (" << d.whatA << " "
+               << a.envelope.powerW.size() << " cycles, " << d.whatB
                << " " << b.envelope.powerW.size() << " cycles)\n";
         if (a.envelope.windowEnergyJ != b.envelope.windowEnergyJ)
             os << "envelope.windowEnergyJ: curves differ\n";
@@ -170,7 +185,24 @@ compareReports(const peak::Report &a, const peak::Report &b,
             b.envelope.peakWindowEnergyJ)
             os << "envelope.peakWindowEnergyJ: peaks differ\n";
     }
-    return os.str();
+    return true;
+}
+
+/** compareBounds plus the scheduling-independent tree statistics. */
+std::string
+compareReports(const peak::Report &a, const peak::Report &b,
+               const char *what_a, const char *what_b)
+{
+    ReportDiff d{what_a, what_b};
+    if (compareBounds(d, a, b)) {
+        d.field("totalCycles", double(a.totalCycles),
+                double(b.totalCycles));
+        d.field("pathsExplored", double(a.pathsExplored),
+                double(b.pathsExplored));
+        d.field("dedupMerges", double(a.dedupMerges),
+                double(b.dedupMerges));
+    }
+    return d.os.str();
 }
 
 } // namespace
@@ -987,58 +1019,23 @@ modeDominanceCheck(msp::System &sys, const isa::Image &image,
 namespace {
 
 /**
- * compareReports minus the tree-shape statistics: with
- * maxPruneDepth > 0 the pruned run hashes pre-engage forks with the
- * full basis and post-engage forks with the pruned one, so a dedup
- * merge between a pre- and a post-engage state can be missed and the
- * exploration re-walks a (bound-identical) duplicate subtree.
- * totalCycles / pathsExplored / dedupMerges may therefore differ
- * from the unpruned run; every reported *bound* may not.
+ * compareBounds plus the ever-active set, without compareReports'
+ * tree-shape statistics: with maxPruneDepth > 0 the pruned run
+ * hashes pre-engage forks with the full basis and post-engage forks
+ * with the pruned one, so a dedup merge between a pre- and a
+ * post-engage state can be missed and the exploration re-walks a
+ * (bound-identical) duplicate subtree. totalCycles / pathsExplored /
+ * dedupMerges may therefore differ from the unpruned run; every
+ * reported *bound* may not.
  */
 std::string
 comparePrunedBounds(const peak::Report &a, const peak::Report &b,
                     const char *what_a, const char *what_b)
 {
-    std::ostringstream os;
-    if (!a.ok && !b.ok) {
-        if (a.error != b.error)
-            os << "errors differ: " << what_a << "=\"" << a.error
-               << "\" " << what_b << "=\"" << b.error << "\"\n";
-        return os.str();
-    }
-    if (!a.ok || !b.ok) {
-        os << what_a << " ok=" << a.ok << " (" << a.error << "), "
-           << what_b << " ok=" << b.ok << " (" << b.error << ")\n";
-        return os.str();
-    }
-    auto field = [&](const char *name, double va, double vb) {
-        if (va != vb)
-            os << name << ": " << what_a << "=" << va << " "
-               << what_b << "=" << vb << "\n";
-    };
-    field("peakPowerW", a.peakPowerW, b.peakPowerW);
-    field("peakEnergyJ", a.peakEnergyJ, b.peakEnergyJ);
-    field("npeJPerCycle", a.npeJPerCycle, b.npeJPerCycle);
-    field("maxPathCycles", double(a.maxPathCycles),
-          double(b.maxPathCycles));
-    if (a.envelope.present != b.envelope.present) {
-        os << "envelope.present: " << what_a << "="
-           << a.envelope.present << " " << what_b << "="
-           << b.envelope.present << "\n";
-    } else if (a.envelope.present) {
-        if (a.envelope.powerW != b.envelope.powerW)
-            os << "envelope.powerW: traces differ (" << what_a << " "
-               << a.envelope.powerW.size() << " cycles, " << what_b
-               << " " << b.envelope.powerW.size() << " cycles)\n";
-        if (a.envelope.windowEnergyJ != b.envelope.windowEnergyJ)
-            os << "envelope.windowEnergyJ: curves differ\n";
-        if (a.envelope.peakWindowEnergyJ !=
-            b.envelope.peakWindowEnergyJ)
-            os << "envelope.peakWindowEnergyJ: peaks differ\n";
-    }
-    if (a.everActive != b.everActive)
-        os << "everActive: sets differ\n";
-    return os.str();
+    ReportDiff d{what_a, what_b};
+    if (compareBounds(d, a, b) && a.everActive != b.everActive)
+        d.os << "everActive: sets differ\n";
+    return d.os.str();
 }
 
 } // namespace

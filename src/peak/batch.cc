@@ -159,28 +159,6 @@ storeCached(const fs::path &path, const ProgramResult &r)
 }
 /// @}
 
-void
-copyScalars(ProgramResult &r, Report &full)
-{
-    r.ok = full.ok;
-    r.error = full.error;
-    r.peakPowerW = full.peakPowerW;
-    r.peakEnergyJ = full.peakEnergyJ;
-    r.npeJPerCycle = full.npeJPerCycle;
-    r.maxPathCycles = full.maxPathCycles;
-    r.totalCycles = full.totalCycles;
-    r.pathsExplored = full.pathsExplored;
-    r.dedupMerges = full.dedupMerges;
-    r.steals = full.steals;
-    r.snapshotBytesCopied = full.snapshotBytesCopied;
-    r.snapshotBytesFull = full.snapshotBytesFull;
-    r.perWorkerCycles = std::move(full.perWorkerCycles);
-    r.packedBatches = full.packedBatches;
-    r.packedSweeps = full.packedSweeps;
-    r.packedLaneCycles = full.packedLaneCycles;
-    r.envelope = std::move(full.envelope);
-}
-
 } // namespace
 
 uint64_t
@@ -203,17 +181,14 @@ cacheKey(const CellLibrary &lib, const isa::Image &image,
         util::hashDouble(h, p.areaUm2);
         util::hashDouble(h, p.clkPinEnergyJ);
     }
-    // Result-affecting options only; numThreads, evalMode,
-    // snapshotMode, staticPrune and packedExplore are excluded on
-    // purpose (scheduling-independent exploration, bit-identical
-    // kernels, fork representations, prune masks and the packed
-    // frontier), as are recordActiveSets
-    // and recordModuleTrace (never cached).
-    // recordEnvelope and the window set participate: they change
-    // what a cached entry must contain. The scenario participates by
-    // content (not name): it changes every number.
+    // Result-affecting options only (the rules are documented on
+    // sym::SymbolicConfig). recordEnvelope and the window set
+    // participate because they change what a cached entry must
+    // contain; the scenario participates by content, not name.
     util::hashDouble(h, opts.freqHz);
     util::hashU64(h, opts.maxTotalCycles);
+    util::hashU64(h, opts.maxPathCycles);
+    util::hashU64(h, opts.maxNodes);
     util::hashU64(h, opts.inputDependentLoopBound);
     opts.scenario.hashInto(h);
     util::hashU64(h, opts.recordEnvelope ? 1 : 0);
@@ -311,7 +286,8 @@ analyzeBatch(const CellLibrary &lib,
                 if (!sys)
                     sys = std::make_unique<msp::System>(lib);
                 Report full = analyze(*sys, prog.image, aopts);
-                copyScalars(r, full);
+                r.envelope = std::move(full.envelope);
+                static_cast<sym::Summary &>(r) = std::move(full);
             } catch (const std::exception &e) {
                 r.ok = false;
                 r.error = e.what();

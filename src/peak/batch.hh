@@ -31,17 +31,13 @@
  * Results are cached on disk (BatchOptions::cacheDir) keyed by the
  * FNV-1a hash of (cache format version, cell library contents, image
  * contents, result-affecting analysis options, scenario contents).
- * Options that provably cannot change the numbers -- numThreads
- * (scheduling-independent exploration), evalMode (bit-identical
- * kernels), snapshotMode (bit-identical fork representations),
- * staticPrune and packedExplore (bit-identical exploration
- * strategies), and the recordActiveSets/recordModuleTrace trace flags
- * (never cached) -- are excluded from the key, so re-runs under a
- * different thread count, kernel or strategy still hit.
- * recordEnvelope and envelopeWindows *do* participate: they change
- * what a cached entry must contain; the scenario participates by
- * content hash because it changes every number. Entries carry a
- * format-version header (v2 added the envelope fields, v3 the
+ * Which knobs are result-affecting is documented once, on
+ * sym::SymbolicConfig: the strategy knobs (numThreads, evalMode,
+ * snapshotMode, staticPrune, packedExplore) and the trace flags are
+ * left out, so re-runs under a different thread count, kernel or
+ * strategy still hit. recordEnvelope and envelopeWindows *do*
+ * participate: they change what a cached entry must contain. Entries
+ * carry a format-version header (v2 added the envelope fields, v3 the
  * scenario-aware key, v4 operating-mode schedules in the scenario
  * hash), so stale entries from an older binary are treated as misses
  * instead of deserializing into garbage reports. Cached doubles (and
@@ -106,40 +102,18 @@ struct BatchOptions {
     bool failFast = false;
 };
 
-/** Per-program results: the scalars of peak::Report (the bulky tree
- *  members are dropped, which is the point of a cached suite), plus
- *  the per-cycle envelope when Options::recordEnvelope asked for it
- *  (the envelope is the profile being sized against, so the batch
- *  layer carries and caches it). */
-struct ProgramResult {
+/** Per-program results: the sym::Summary of peak::Report (the bulky
+ *  tree members are dropped, which is the point of a cached suite),
+ *  plus the per-cycle envelope when Options::recordEnvelope asked for
+ *  it (the envelope is the profile being sized against, so the batch
+ *  layer carries and caches it). On a cache hit only the bounds and
+ *  the scheduling-independent statistics are filled in; error holds
+ *  the analysis error or the skip reason. */
+struct ProgramResult : sym::Summary {
     std::string name;
     /** Scenario this row was analyzed under (its Scenario::name). */
     std::string scenario;
-    bool ok = false;
     bool cached = false; ///< served from the disk cache
-    std::string error;   ///< analysis error, or the skip reason
-
-    double peakPowerW = 0.0;
-    double peakEnergyJ = 0.0;
-    double npeJPerCycle = 0.0;
-    uint64_t maxPathCycles = 0;
-
-    uint64_t totalCycles = 0;
-    uint32_t pathsExplored = 0;
-    uint32_t dedupMerges = 0;
-    /// @name Run-provenance statistics (like wallSeconds: zero on
-    /// cache hits, scheduling-dependent, excluded from determinism
-    /// comparisons and from the cache)
-    /// @{
-    uint32_t steals = 0;
-    uint64_t snapshotBytesCopied = 0;
-    uint64_t snapshotBytesFull = 0;
-    std::vector<uint64_t> perWorkerCycles;
-    /// Packed-frontier counters (zero unless packedExplore)
-    uint64_t packedBatches = 0;
-    uint64_t packedSweeps = 0;
-    uint64_t packedLaneCycles = 0;
-    /// @}
 
     /** Peak power envelope + windowed peak-energy curves, when
      *  Options::recordEnvelope. The cache stores only the power
@@ -213,9 +187,7 @@ struct BatchReport {
 
 /**
  * Cache key for one (library, image, options) combination -- exposed
- * so tests can pin the exclusion rules (numThreads, evalMode,
- * snapshotMode, staticPrune, packedExplore and record* do not
- * participate; see the file comment).
+ * so tests can pin the exclusion rules (see sym::SymbolicConfig).
  */
 uint64_t cacheKey(const CellLibrary &lib, const isa::Image &image,
                   const Options &opts);

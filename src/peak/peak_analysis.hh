@@ -30,60 +30,19 @@
 namespace ulpeak {
 namespace peak {
 
-struct Options {
-    double freqHz = 100e6;
-    bool recordActiveSets = false;
-    bool recordModuleTrace = false;
-    unsigned inputDependentLoopBound = 0;
-    uint64_t maxTotalCycles = 3000000;
-    /** Simulation kernel; both modes produce bit-identical reports
-     *  (enforced by tests/test_benchmarks.cc across bench430). */
-    EvalMode evalMode = EvalMode::EventDriven;
-    /** Parallel execution-tree exploration workers (<= 1: serial). */
-    unsigned numThreads = 1;
-    /** Record the per-cycle peak power envelope and windowed
-     *  peak-energy curves (Report::envelope). Byte-identical across
-     *  numThreads and evalMode. */
-    bool recordEnvelope = false;
+/** Options of one analysis: the engine's knobs (each documented once,
+ *  on sym::SymbolicConfig) plus the envelope window set. analyze()
+ *  hands them to the engine as they are. */
+struct Options : sym::SymbolicConfig {
     /** Window lengths [cycles] of the envelope's peak-energy curves;
      *  used only when recordEnvelope. */
     std::vector<unsigned> envelopeWindows = defaultEnvelopeWindows();
-    /** The deployment scenario analyzed under (port/memory/register
-     *  constraints; default unconstrained = the classic all-X flow).
-     *  Participates in the batch cache key by content. Constraining
-     *  it can only tighten every reported bound
-     *  (fuzz::scenarioDominanceCheck). */
-    scenario::Scenario scenario;
-    /** Fork snapshot representation inside the exploration (delta =
-     *  default, full = reference); never changes a reported number,
-     *  so it is excluded from the cache key like evalMode. */
-    sym::SnapshotMode snapshotMode = sym::SnapshotMode::Delta;
-    /** Static constant-cone pruning (SymbolicConfig::staticPrune,
-     *  `ulpeak --static-prune`): skip gates lint::analyzeConstants
-     *  proves constant under the scenario. Never changes a reported
-     *  number (fuzz property 9), so it is excluded from the cache
-     *  key like evalMode and snapshotMode. */
-    bool staticPrune = false;
-    /** Packed 64-lane frontier exploration
-     *  (SymbolicConfig::packedExplore, `ulpeak --packed-explore`):
-     *  drain pending paths through the bit-parallel kernel, up to 64
-     *  per sweep. Never changes a reported number (fuzz
-     *  `--mode packed-sym`), so it is excluded from the cache key
-     *  like evalMode and snapshotMode. */
-    bool packedExplore = false;
 };
 
 /** Application-specific input-independent requirements (the paper's
- *  "X-based" numbers). */
-struct Report {
-    bool ok = false;
-    std::string error;
-
-    double peakPowerW = 0.0;    ///< Figure 5.1's X-based bars
-    double peakEnergyJ = 0.0;   ///< Section 3.3 bound
-    double npeJPerCycle = 0.0;  ///< Figure 5.2's X-based bars
-    uint64_t maxPathCycles = 0;
-
+ *  "X-based" numbers): the bounds and exploration statistics of
+ *  sym::Summary plus the per-cycle data below. */
+struct Report : sym::Summary {
     /** Flattened per-cycle peak power trace (Figure 3.3). */
     std::vector<float> flatTraceW;
 
@@ -95,22 +54,6 @@ struct Report {
      *  (Figures 1.5 and 3.4), when Options::recordActiveSets. */
     std::vector<uint8_t> everActive;
     std::vector<uint32_t> peakActive;
-
-    /** Exploration statistics (see SymbolicResult: steals and
-     *  perWorkerCycles are scheduling-dependent and excluded from
-     *  determinism comparisons, like timings). */
-    uint64_t totalCycles = 0;
-    uint32_t pathsExplored = 0;
-    uint32_t dedupMerges = 0;
-    uint32_t steals = 0;
-    uint64_t snapshotBytesCopied = 0;
-    uint64_t snapshotBytesFull = 0;
-    std::vector<uint64_t> perWorkerCycles;
-    /** Packed-frontier scheduling counters (zero unless
-     *  Options::packedExplore; scheduling-dependent, like steals). */
-    uint64_t packedBatches = 0;
-    uint64_t packedSweeps = 0;
-    uint64_t packedLaneCycles = 0;
 };
 
 /** Run the full analysis of Chapter 3 on @p image. */

@@ -8,40 +8,10 @@ namespace peak {
 Report
 analyze(msp::System &sys, const isa::Image &image, const Options &opts)
 {
-    sym::SymbolicConfig cfg;
-    cfg.freqHz = opts.freqHz;
-    cfg.recordActiveSets = opts.recordActiveSets;
-    cfg.recordModuleTrace = opts.recordModuleTrace;
-    cfg.inputDependentLoopBound = opts.inputDependentLoopBound;
-    cfg.maxTotalCycles = opts.maxTotalCycles;
-    cfg.evalMode = opts.evalMode;
-    cfg.numThreads = opts.numThreads;
-    cfg.recordEnvelope = opts.recordEnvelope;
-    cfg.scenario = opts.scenario;
-    cfg.snapshotMode = opts.snapshotMode;
-    cfg.staticPrune = opts.staticPrune;
-    cfg.packedExplore = opts.packedExplore;
-
-    sym::SymbolicEngine engine(sys, cfg);
+    sym::SymbolicEngine engine(sys, opts);
     sym::SymbolicResult sr = engine.run(image);
 
     Report r;
-    r.ok = sr.ok;
-    r.error = sr.error;
-    r.peakPowerW = sr.peakPowerW;
-    r.peakEnergyJ = sr.peakEnergyJ;
-    r.npeJPerCycle = sr.npeJPerCycle;
-    r.maxPathCycles = sr.maxPathCycles;
-    r.totalCycles = sr.totalCycles;
-    r.pathsExplored = sr.pathsExplored;
-    r.dedupMerges = sr.dedupMerges;
-    r.steals = sr.steals;
-    r.snapshotBytesCopied = sr.snapshotBytesCopied;
-    r.snapshotBytesFull = sr.snapshotBytesFull;
-    r.perWorkerCycles = std::move(sr.perWorkerCycles);
-    r.packedBatches = sr.packedBatches;
-    r.packedSweeps = sr.packedSweeps;
-    r.packedLaneCycles = sr.packedLaneCycles;
     if (sr.ok)
         r.flatTraceW = sr.tree.flatten();
     if (sr.ok && opts.recordEnvelope) {
@@ -55,6 +25,7 @@ analyze(msp::System &sys, const isa::Image &image, const Options &opts)
     }
     r.everActive = std::move(sr.everActive);
     r.peakActive = std::move(sr.peakActive);
+    static_cast<sym::Summary &>(r) = std::move(sr);
     return r;
 }
 

@@ -67,22 +67,45 @@ enum class SnapshotMode : uint8_t {
     Delta, ///< dirtied entries against a shared base (default)
 };
 
+/**
+ * The knobs of one analysis, documented here once for every layer:
+ * peak::Options derives from this struct (adding only the envelope
+ * window set), peak::BatchOptions::analysis and
+ * fault::CampaignOptions are peak::Options, and the CLIs parse
+ * straight into them.
+ *
+ * Result-affecting knobs -- freqHz, the three limits, the loop bound,
+ * the scenario and recordEnvelope -- participate in the batch result
+ * cache key (peak::cacheKey). The strategy knobs numThreads, evalMode,
+ * snapshotMode, staticPrune and packedExplore never change a reported
+ * number, so they are left out of it and a re-run under a different
+ * strategy still hits; so are the trace flags recordActiveSets and
+ * recordModuleTrace, whose data is never cached.
+ */
 struct SymbolicConfig {
+    /** Clock frequency [Hz] converting per-cycle energy to power
+     *  (`--freq`). */
     double freqHz = 100e6;
     /** Cycle budget over all paths: the run fails exactly when its
-     *  (scheduling-independent) total cycle count exceeds this. */
+     *  (scheduling-independent) total cycle count exceeds this
+     *  (`ulpeak --max-cycles`). */
     uint64_t maxTotalCycles = 3000000;
+    /** Cycle limit of one path; a longer path fails the run (a
+     *  missing halt or an unbounded loop). */
     uint64_t maxPathCycles = 100000;
+    /** Execution-tree node limit; a larger tree fails the run. */
     uint32_t maxNodes = 300000;
-    /** Combinational kernel used by the exploration simulators. */
+    /** Combinational kernel used by the exploration simulators
+     *  (`--eval-mode`); both kernels give bit-identical reports
+     *  (tests/test_benchmarks.cc across bench430). */
     EvalMode evalMode = EvalMode::EventDriven;
     /**
      * Worker threads exploring independent execution-tree branches
-     * (<= 1: sequential exploration on the calling thread). Each extra
-     * worker elaborates its own System clone; snapshots transfer
-     * between clones because netlist construction is deterministic.
-     * Peak power/energy/NPE results are scheduling-independent; node
-     * numbering inside the tree is not.
+     * (`--threads`; <= 1: sequential exploration on the calling
+     * thread). Each extra worker elaborates its own System clone;
+     * snapshots transfer between clones because netlist construction
+     * is deterministic. Peak power/energy/NPE results are
+     * scheduling-independent; node numbering inside the tree is not.
      *
      * This parallelizes *within* one application's analysis and is
      * orthogonal to the *program-level* sharding of a suite
@@ -101,12 +124,12 @@ struct SymbolicConfig {
      *  (Figure 3.6 COI analysis). */
     bool recordModuleTrace = false;
     /** Compute the cycle-aligned peak power envelope over the whole
-     *  execution tree (ExecTree::envelopePowerW) after exploration.
-     *  Derived from the tree's logical structure, so it is
-     *  byte-identical under any numThreads / EvalMode. */
+     *  execution tree (ExecTree::envelopePowerW) after exploration
+     *  (`--envelope`). Derived from the tree's logical structure, so
+     *  it is byte-identical under any numThreads / EvalMode. */
     bool recordEnvelope = false;
     /** Iteration bound applied to back-edges in the execution tree
-     *  (0 = reject unbounded input-dependent loops). */
+     *  (`--loop-bound`; 0 = reject unbounded input-dependent loops). */
     unsigned inputDependentLoopBound = 0;
     /**
      * The environment the application is analyzed under: port-input
@@ -114,7 +137,9 @@ struct SymbolicConfig {
      * initial-register constraints. The default admits every
      * execution (all ports X -- the classic Algorithm 1 flow).
      * Results are bounds over exactly the scenario's executions and
-     * can only tighten as constraints are added.
+     * can only tighten as constraints are added
+     * (fuzz::scenarioDominanceCheck). Participates in the cache key
+     * by content, not by name.
      */
     scenario::Scenario scenario;
     /** Fork snapshot form; Delta is the fast default, Full the
@@ -123,69 +148,56 @@ struct SymbolicConfig {
     /**
      * Run lint::analyzeConstants over the scenario before exploring
      * and install its prune mask in every worker simulator
-     * (Simulator::setStaticPrune): gates the static analysis proves
-     * constant under this scenario drop out of the event-driven
-     * worklists, the full sweep, and the fork-time dedup hashing.
-     * Opt-in and bit-identity-neutral: every reported number --
-     * peak power, peak energy, NPE, envelope, activity sets -- is
+     * (Simulator::setStaticPrune; `--static-prune`): gates the static
+     * analysis proves constant under this scenario drop out of the
+     * event-driven worklists, the full sweep, and the fork-time dedup
+     * hashing. Opt-in and bit-identity-neutral: every reported number
+     * -- peak power, peak energy, NPE, envelope, activity sets -- is
      * identical with and without it (fuzz property 9 / `ulfuzz
      * --mode lint` enforces this across threads, kernels, and
-     * snapshot modes), so like evalMode and snapshotMode it is
-     * excluded from the batch result cache key.
+     * snapshot modes).
      */
     bool staticPrune = false;
     /**
      * Drain the pending-path frontier through the 64-lane
-     * PackedSimulator: each worker loads up to 64 pending execution
-     * paths into lanes (stealing to fill), advances all of them with
-     * one level-bucketed packed sweep per cycle, and transposes a
-     * lane back to a scalar snapshot when it reaches its next fork /
-     * halt / dedup boundary. The exploration loop is the scalar one
-     * with 64 slots instead of one. Backed by the packed kernel's
-     * lane-identity invariant, every reported number -- peak power,
-     * peak energy, NPE, envelope, activity sets, path/merge/snapshot
-     * statistics -- is bit-identical to the scalar exploration across
-     * threads, kernels, snapshot modes, scenarios, operating-mode
-     * schedules, and staticPrune (fuzz `--mode packed-sym` enforces
-     * this), so like evalMode it is excluded from the batch result
-     * cache key. Only the scheduling-dependent statistics (steals,
-     * per-worker cycles, packed batch/occupancy counters) differ.
+     * PackedSimulator (`--packed-explore`): each worker loads up to
+     * 64 pending execution paths into lanes (stealing to fill),
+     * advances all of them with one level-bucketed packed sweep per
+     * cycle, and transposes a lane back to a scalar snapshot when it
+     * reaches its next fork / halt / dedup boundary. The exploration
+     * loop is the scalar one with 64 slots instead of one. Backed by
+     * the packed kernel's lane-identity invariant, every reported
+     * number -- peak power, peak energy, NPE, envelope, activity
+     * sets, path/merge/snapshot statistics -- is bit-identical to the
+     * scalar exploration across threads, kernels, snapshot modes,
+     * scenarios, operating-mode schedules, and staticPrune (fuzz
+     * `--mode packed-sym` enforces this). Only the
+     * scheduling-dependent statistics (steals, per-worker cycles,
+     * packed batch/occupancy counters) differ.
      */
     bool packedExplore = false;
 };
 
-struct SymbolicResult {
+/**
+ * What every layer reports about one analysis: the outcome, the
+ * paper's bounds and the exploration statistics. SymbolicResult,
+ * peak::Report and peak::ProgramResult derive from it and add only
+ * their own members, so each layer hands the summary on with one
+ * slice-move.
+ */
+struct Summary {
     bool ok = false;
-    std::string error;
+    std::string error; ///< analysis error, or a batch skip reason
 
-    ExecTree tree;
-
-    /// @name Peak power (Section 3.2)
+    /// @name The bounds
     /// @{
-    double peakPowerW = 0.0;
-    uint32_t peakNode = 0;
-    uint32_t peakCycleInNode = 0;
-    /// @}
-
-    /// @name Peak energy (Section 3.3)
-    /// @{
-    double peakEnergyJ = 0.0;
-    uint64_t maxPathCycles = 0;
+    double peakPowerW = 0.0;  ///< Section 3.2; Figure 5.1's X bars
+    double peakEnergyJ = 0.0; ///< Section 3.3 bound
     /** Normalized peak energy [J/cycle] -- the NPE axis of the
      *  paper's Figures 2.2b / 4.1b / 5.2. */
     double npeJPerCycle = 0.0;
+    uint64_t maxPathCycles = 0; ///< cycles of the peak-energy path
     /// @}
-
-    /// @name Activity sets (when recordActiveSets)
-    /// @{
-    std::vector<uint8_t> everActive;  ///< per gate: 1 if ever active
-    std::vector<uint32_t> peakActive; ///< gates active at the peak
-    /// @}
-
-    /** Per-cycle upper-bound power envelope env[c] = max over all
-     *  execution-tree walks of power(walk, c), when
-     *  SymbolicConfig::recordEnvelope. */
-    std::vector<float> envelopeW;
 
     /// @name Exploration statistics
     /// Scheduling-independent: totalCycles, pathsExplored,
@@ -193,7 +205,8 @@ struct SymbolicResult {
     /// the same snapshots whoever runs it). Scheduling-dependent
     /// (excluded from determinism comparisons, like timings):
     /// steals, perWorkerCycles, packedBatches, packedSweeps,
-    /// packedLaneCycles.
+    /// packedLaneCycles. The batch cache stores only the first
+    /// three; the rest read zero on a cache hit.
     /// @{
     uint64_t totalCycles = 0;
     uint32_t pathsExplored = 0;
@@ -218,6 +231,25 @@ struct SymbolicResult {
     uint64_t packedLaneCycles = 0;
     /// @}
     /// @}
+};
+
+struct SymbolicResult : Summary {
+    ExecTree tree;
+
+    /** Where the peak power cycle sits in the tree. */
+    uint32_t peakNode = 0;
+    uint32_t peakCycleInNode = 0;
+
+    /// @name Activity sets (when recordActiveSets)
+    /// @{
+    std::vector<uint8_t> everActive;  ///< per gate: 1 if ever active
+    std::vector<uint32_t> peakActive; ///< gates active at the peak
+    /// @}
+
+    /** Per-cycle upper-bound power envelope env[c] = max over all
+     *  execution-tree walks of power(walk, c), when
+     *  SymbolicConfig::recordEnvelope. */
+    std::vector<float> envelopeW;
 };
 
 class SymbolicEngine {

@@ -425,17 +425,19 @@ TEST(Cli, ParseEnvelopeArgs)
     cli::CliOptions o;
     std::string err;
     ASSERT_TRUE(cli::parseArgs(5, argv, o, err)) << err;
-    EXPECT_TRUE(o.envelope);
+    EXPECT_TRUE(o.batch.analysis.recordEnvelope);
     EXPECT_EQ(o.envelopeFormat, "csv");
-    ASSERT_EQ(o.windows, (std::vector<unsigned>{1, 8, 64}));
+    ASSERT_EQ(o.batch.analysis.envelopeWindows,
+              (std::vector<unsigned>{1, 8, 64}));
     peak::BatchOptions b = cli::toBatchOptions(o);
     EXPECT_TRUE(b.analysis.recordEnvelope);
-    EXPECT_EQ(b.analysis.envelopeWindows, o.windows);
+    EXPECT_EQ(b.analysis.envelopeWindows,
+              o.batch.analysis.envelopeWindows);
 
     const char *plain[] = {"ulpeak", "mult", "--envelope"};
     cli::CliOptions o2;
     ASSERT_TRUE(cli::parseArgs(3, plain, o2, err)) << err;
-    EXPECT_TRUE(o2.envelope);
+    EXPECT_TRUE(o2.batch.analysis.recordEnvelope);
     EXPECT_EQ(o2.envelopeFormat, "json");
     // Default window set applies when --windows is absent.
     EXPECT_EQ(cli::toBatchOptions(o2).analysis.envelopeWindows,
@@ -488,6 +490,15 @@ TEST(Batch, CacheKeyExclusionRules)
     peak::Options budget = base;
     budget.maxTotalCycles = 1000;
     EXPECT_NE(peak::cacheKey(lib, img, budget), k0);
+    // So do the per-path and tree-size limits: a caller who raises
+    // one must not be served the entry the old limit failed or
+    // passed under.
+    peak::Options pathLimit = base;
+    pathLimit.maxPathCycles = 2 * base.maxPathCycles;
+    EXPECT_NE(peak::cacheKey(lib, img, pathLimit), k0);
+    peak::Options nodeLimit = base;
+    nodeLimit.maxNodes = 2 * base.maxNodes;
+    EXPECT_NE(peak::cacheKey(lib, img, nodeLimit), k0);
 
     // Envelope recording changes what an entry must contain, so it
     // (and the window set) participates in the key.
@@ -572,8 +583,8 @@ TEST(Cli, ParseArgs)
     EXPECT_EQ(o.programSpecs[0], "mult");
     EXPECT_EQ(o.programSpecs[1], "FFT");
     EXPECT_EQ(o.programSpecs[2], "tea8");
-    EXPECT_EQ(o.jobs, 4u);
-    EXPECT_EQ(o.threads, 2u);
+    EXPECT_EQ(o.batch.jobs, 4u);
+    EXPECT_EQ(o.batch.analysis.numThreads, 2u);
     EXPECT_EQ(o.jsonPath, "out.json");
     EXPECT_TRUE(o.noCache);
     EXPECT_TRUE(o.quiet);
@@ -592,6 +603,80 @@ TEST(Cli, ParseArgs)
     const char *none[] = {"ulpeak"};
     cli::CliOptions o3;
     EXPECT_FALSE(cli::parseArgs(1, none, o3, err));
+}
+
+// Every engine and batch flag lands in the BatchOptions field it
+// names, with nothing copied in between: parseArgs writes
+// CliOptions::batch, toBatchOptions adds only scenarios, --modes'
+// envelope recording and --no-cache.
+TEST(Cli, EngineFlagsReachBatchOptions)
+{
+    using Check = bool (*)(const peak::BatchOptions &);
+    struct Case {
+        std::vector<const char *> flags;
+        Check check;
+    };
+    const Case cases[] = {
+        {{"--threads", "3"},
+         [](const peak::BatchOptions &b) {
+             return b.analysis.numThreads == 3;
+         }},
+        {{"--jobs", "5"},
+         [](const peak::BatchOptions &b) { return b.jobs == 5; }},
+        {{"--freq", "8e6"},
+         [](const peak::BatchOptions &b) {
+             return b.analysis.freqHz == 8e6;
+         }},
+        {{"--eval-mode", "full"},
+         [](const peak::BatchOptions &b) {
+             return b.analysis.evalMode == EvalMode::FullSweep;
+         }},
+        {{"--loop-bound", "7"},
+         [](const peak::BatchOptions &b) {
+             return b.analysis.inputDependentLoopBound == 7;
+         }},
+        {{"--max-cycles", "12345"},
+         [](const peak::BatchOptions &b) {
+             return b.analysis.maxTotalCycles == 12345;
+         }},
+        {{"--static-prune"},
+         [](const peak::BatchOptions &b) {
+             return b.analysis.staticPrune;
+         }},
+        {{"--packed-explore"},
+         [](const peak::BatchOptions &b) {
+             return b.analysis.packedExplore;
+         }},
+        {{"--windows", "2,16"},
+         [](const peak::BatchOptions &b) {
+             return b.analysis.envelopeWindows ==
+                    std::vector<unsigned>{2, 16};
+         }},
+        {{"--fail-fast"},
+         [](const peak::BatchOptions &b) { return b.failFast; }},
+        {{"--cache-dir", "some/dir"},
+         [](const peak::BatchOptions &b) {
+             return b.cacheDir == "some/dir";
+         }},
+        {{"--cache-dir", "some/dir", "--no-cache"},
+         [](const peak::BatchOptions &b) { return b.cacheDir.empty(); }},
+        // The CLI's one default that differs from the library's.
+        {{},
+         [](const peak::BatchOptions &b) {
+             return b.cacheDir == ".ulpeak-cache";
+         }},
+    };
+    for (const Case &c : cases) {
+        std::vector<const char *> argv{"ulpeak", "mult"};
+        argv.insert(argv.end(), c.flags.begin(), c.flags.end());
+        cli::CliOptions o;
+        std::string err;
+        ASSERT_TRUE(
+            cli::parseArgs(int(argv.size()), argv.data(), o, err))
+            << err;
+        EXPECT_TRUE(c.check(cli::toBatchOptions(o)))
+            << "case " << (&c - cases);
+    }
 }
 
 // --freq goes through parsePositiveDouble in both drivers: trailing
@@ -615,11 +700,11 @@ TEST(Cli, FreqParsingRejectsTrailingGarbage)
     const char *good[] = {"ulpeak", "--freq", "8e6", "mult"};
     cli::CliOptions o;
     ASSERT_TRUE(cli::parseArgs(4, good, o, err)) << err;
-    EXPECT_DOUBLE_EQ(o.freqHz, 8e6);
+    EXPECT_DOUBLE_EQ(o.batch.analysis.freqHz, 8e6);
     const char *fgood[] = {"ulfault", "mult", "--freq", "8e6"};
     cli::FaultCliOptions fo;
     ASSERT_TRUE(cli::parseFaultArgs(4, fgood, fo, err)) << err;
-    EXPECT_DOUBLE_EQ(fo.freqHz, 8e6);
+    EXPECT_DOUBLE_EQ(fo.campaign.freqHz, 8e6);
 }
 
 TEST(Cli, ParseModesArgs)

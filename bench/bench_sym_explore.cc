@@ -13,14 +13,16 @@
  * the pre-refactor shared-mutex baseline for the speedup claim).
  *
  * A packed-frontier section times the same exploration with
- * Options::packedExplore (the 64-lane batched sweep) against the
- * scalar engine at the same thread counts, after the same
- * bit-identity check, and reports the forks/sec ratio. At 1 thread
- * the scalar and packed runs are timed in alternating pairs (at least
- * five), and the ratio is the median of the per-pair ratios: adjacent
- * runs see the same host speed, so drift between the two sections no
- * longer moves the ratio. Two optional CI gates turn measurements into
- * pass/fail exit codes:
+ * Frontier::Packed (the 64-lane batched sweep) against the
+ * Frontier::Scalar engine at the same thread counts, after the same
+ * bit-identity check, and reports the forks/sec ratio; an adaptive
+ * section does the same for the default Frontier::Adaptive. At 1
+ * thread the scalar, packed and adaptive runs are timed in rotating
+ * rounds (at least five), and each ratio is the median of the
+ * per-round ratios against the scalar run: adjacent runs see the same
+ * host speed, so drift between the sections no longer moves the
+ * ratios. Two optional CI gates turn measurements into pass/fail exit
+ * codes, both over the two reference frontiers:
  *  --min-ratio X    fail unless the median 1-thread packed/scalar
  *                   forks/sec ratio reaches X;
  *  --min-scaling X  fail unless the largest measured thread count
@@ -44,6 +46,7 @@
 #include <vector>
 
 #include "bench/bench_util.hh"
+#include "bench430/benchmarks.hh"
 #include "peak/peak_analysis.hh"
 
 namespace ulpeak {
@@ -55,28 +58,6 @@ seconds(std::chrono::steady_clock::time_point t0)
     return std::chrono::duration<double>(
                std::chrono::steady_clock::now() - t0)
         .count();
-}
-
-/** A program whose exploration tree is wide and whose per-node runs
- *  are short: rounds of port-dependent branches over a live
- *  accumulator, the worst case for fork (snapshot + dedup)
- *  throughput. After round i the accumulator holds one of i+1
- *  values, so states neither explode exponentially nor collapse into
- *  one: the tree has ~rounds^2/2 nodes, each a few cycles long. */
-std::string
-forkStressSource(unsigned rounds)
-{
-    std::string body = "        mov #0, r4\n";
-    for (unsigned i = 0; i < rounds; ++i) {
-        std::string skip = "fs_skip_" + std::to_string(i);
-        body += "        mov &PIN, r5\n"
-                "        and #1, r5\n"
-                "        jz " + skip + "\n"
-                "        add #1, r4\n" +
-                skip + ":\n";
-    }
-    body += "        mov r4, &OUT\n";
-    return bench430::wrapBenchmarkBody(body);
 }
 
 } // namespace
@@ -108,15 +89,17 @@ main(int argc, char **argv)
         "sym exploration core: fork throughput and thread scaling");
 
     msp::System sys(CellLibrary::tsmc65Like());
-    isa::Image img = isa::assemble(forkStressSource(rounds));
+    isa::Image img = isa::assemble(bench430::forkStressSource(rounds));
 
     std::vector<unsigned> threadCounts;
     for (unsigned t = 1; t <= maxThreads; t *= 2)
         threadCounts.push_back(t);
 
-    // Reference run: every other thread count must reproduce these
-    // numbers bit for bit before its timing means anything.
+    // Reference run: every other thread count and frontier must
+    // reproduce these numbers bit for bit before its timing means
+    // anything.
     peak::Options ref;
+    ref.frontier = sym::Frontier::Scalar;
     peak::Report refRep = peak::analyze(sys, img, ref);
     if (!refRep.ok) {
         std::fprintf(stderr, "reference analysis failed: %s\n",
@@ -130,7 +113,7 @@ main(int argc, char **argv)
 
     // Fork memory traffic: bytes the delta snapshots actually stored
     // vs what full copies at every fork would have stored.
-    peak::Options fullSnap;
+    peak::Options fullSnap = ref;
     fullSnap.snapshotMode = sym::SnapshotMode::Full;
     peak::Report fullRep = peak::analyze(sys, img, fullSnap);
     double deltaRatio =
@@ -147,6 +130,14 @@ main(int argc, char **argv)
                 double(refRep.snapshotBytesCopied) / 1e6,
                 double(refRep.snapshotBytesFull) / 1e6, deltaRatio);
 
+    auto frontierName = [](const peak::Options &o) {
+        switch (o.effectiveFrontier()) {
+        case sym::Frontier::Scalar: return "scalar";
+        case sym::Frontier::Adaptive: return "adaptive";
+        case sym::Frontier::Packed: return "packed";
+        }
+        return "?";
+    };
     // Every timed run must reproduce the reference numbers bit for
     // bit before its timing means anything.
     auto timed = [&](const peak::Options &opts, peak::Report &rep) {
@@ -160,39 +151,34 @@ main(int argc, char **argv)
             std::fprintf(stderr,
                          "%s threads=%u diverged from the 1-thread "
                          "scalar reference -- timing aborted\n",
-                         opts.packedExplore ? "packed" : "scalar",
-                         opts.numThreads);
+                         frontierName(opts), opts.numThreads);
             std::exit(1);
         }
         return wall;
     };
 
-    // 1 thread, scalar and packed in alternating pairs (order flips
-    // every pair), feeding both tables' 1-thread rows and the
-    // --min-ratio gate.
-    peak::Options packed1;
-    packed1.packedExplore = true;
+    // 1 thread, scalar, packed and adaptive in rotating rounds (the
+    // order shifts every round), feeding the tables' 1-thread rows
+    // and the --min-ratio gate.
+    enum { kScalar, kPacked, kAdaptive, kFrontiers };
+    peak::Options opts1[kFrontiers] = {ref, ref, ref};
+    opts1[kPacked].frontier = sym::Frontier::Packed;
+    opts1[kAdaptive].frontier = sym::Frontier::Adaptive;
     int pairs = std::max(reps, 5);
-    std::vector<double> scalar1Walls, packed1Walls;
-    bench_util::PairedRatio pairRatios;
-    peak::Report packed1Rep;
+    std::vector<double> walls1[kFrontiers];
+    bench_util::PairedRatio pairRatios, adaptiveRatios;
+    peak::Report reps1[kFrontiers];
     for (int i = 0; i < pairs; ++i) {
-        peak::Report scalarRep;
-        double ws, wp;
-        if (i % 2 == 0) {
-            ws = timed(peak::Options(), scalarRep);
-            wp = timed(packed1, packed1Rep);
-        } else {
-            wp = timed(packed1, packed1Rep);
-            ws = timed(peak::Options(), scalarRep);
+        double w[kFrontiers];
+        for (int j = 0; j < kFrontiers; ++j) {
+            int f = (i + j) % kFrontiers;
+            w[f] = timed(opts1[f], reps1[f]);
+            walls1[f].push_back(w[f]);
         }
-        scalar1Walls.push_back(ws);
-        packed1Walls.push_back(wp);
-        pairRatios.ratios.push_back(ws / wp);
+        pairRatios.ratios.push_back(w[kScalar] / w[kPacked]);
+        adaptiveRatios.ratios.push_back(w[kScalar] / w[kAdaptive]);
     }
     double ratio1t = pairRatios.med();
-    double ratio1tMin = pairRatios.min();
-    double ratio1tMax = pairRatios.max();
 
     std::printf("%-8s %10s %12s %12s %8s\n", "threads", "wall [s]",
                 "forks/sec", "cycles/sec", "scaling");
@@ -215,13 +201,13 @@ main(int argc, char **argv)
     bool first = true;
     std::vector<std::pair<unsigned, double>> scalarWalls;
     for (unsigned t : threadCounts) {
-        peak::Options opts;
+        peak::Options opts = ref;
         opts.numThreads = t;
         double best = 1e9;
         peak::Report rep;
         if (t == 1)
-            best = *std::min_element(scalar1Walls.begin(),
-                                     scalar1Walls.end());
+            best = *std::min_element(walls1[kScalar].begin(),
+                                     walls1[kScalar].end());
         else
             for (int rep_i = 0; rep_i < reps; ++rep_i)
                 best = std::min(best, timed(opts, rep));
@@ -244,59 +230,75 @@ main(int argc, char **argv)
     }
     json += "\n  ],\n";
 
-    // Packed-frontier section: the same exploration drained through
-    // the 64-lane batched sweep, same bit-identity bar, reported as a
-    // forks/sec ratio against the scalar engine at the same thread
-    // count.
-    std::printf("\npacked frontier (64-lane batched sweeps):\n");
-    std::printf("%-8s %10s %12s %10s %10s\n", "threads", "wall [s]",
-                "forks/sec", "occupancy", "vs scalar");
-    json += "  \"packed\": [\n";
-    first = true;
-    for (unsigned t : threadCounts) {
-        if (t > 2 && t != threadCounts.back())
-            continue; // 1, 2 and the widest point tell the story
-        peak::Options opts = packed1;
-        opts.numThreads = t;
-        double best = 1e9;
-        peak::Report rep = packed1Rep;
-        if (t == 1)
-            best = *std::min_element(packed1Walls.begin(),
-                                     packed1Walls.end());
-        else
-            for (int rep_i = 0; rep_i < reps; ++rep_i)
-                best = std::min(best, timed(opts, rep));
-        double scalarBest = 0.0;
-        for (auto &sw : scalarWalls)
-            if (sw.first == t)
-                scalarBest = sw.second;
-        double forksPerSec = double(rep.pathsExplored) / best;
-        double ratio = t == 1 ? ratio1t : scalarBest / best;
-        double occupancy =
-            rep.packedSweeps
-                ? double(rep.packedLaneCycles) /
-                      (64.0 * double(rep.packedSweeps))
-                : 0.0;
-        std::printf("%-8u %10.3f %12.0f %9.1f%% %9.2fx\n", t, best,
-                    forksPerSec, 100.0 * occupancy, ratio);
-        char buf[256];
+    // Packed and adaptive sections: the same exploration drained
+    // through the 64-lane batched sweep always, or while two or more
+    // paths wait; same bit-identity bar, reported as a forks/sec
+    // ratio against the scalar engine at the same thread count.
+    auto section = [&](int f, const char *title,
+                       const bench_util::PairedRatio &ratios1) {
+        std::printf("\n%s:\n", title);
+        std::printf("%-8s %10s %12s %10s %10s\n", "threads", "wall [s]",
+                    "forks/sec", "occupancy", "vs scalar");
+        json += std::string("  \"") + frontierName(opts1[f]) +
+                "\": [\n";
+        bool firstRow = true;
+        for (unsigned t : threadCounts) {
+            if (t > 2 && t != threadCounts.back())
+                continue; // 1, 2 and the widest point tell the story
+            peak::Options opts = opts1[f];
+            opts.numThreads = t;
+            double best = 1e9;
+            peak::Report rep = reps1[f];
+            if (t == 1)
+                best = *std::min_element(walls1[f].begin(),
+                                         walls1[f].end());
+            else
+                for (int rep_i = 0; rep_i < reps; ++rep_i)
+                    best = std::min(best, timed(opts, rep));
+            double scalarBest = 0.0;
+            for (auto &sw : scalarWalls)
+                if (sw.first == t)
+                    scalarBest = sw.second;
+            double forksPerSec = double(rep.pathsExplored) / best;
+            double ratio = t == 1 ? ratios1.med() : scalarBest / best;
+            double occupancy =
+                rep.packedSweeps
+                    ? double(rep.packedLaneCycles) /
+                          (64.0 * double(rep.packedSweeps))
+                    : 0.0;
+            std::printf("%-8u %10.3f %12.0f %9.1f%% %9.2fx\n", t, best,
+                        forksPerSec, 100.0 * occupancy, ratio);
+            char buf[256];
+            std::snprintf(buf, sizeof buf,
+                          "    {\"threads\": %u, \"wall_s\": %.4f, "
+                          "\"forks_per_sec\": %.0f, \"lane_occupancy\": "
+                          "%.3f, \"ratio_vs_scalar\": %.3f}",
+                          t, best, forksPerSec, occupancy, ratio);
+            json += std::string(firstRow ? "" : ",\n") + buf;
+            firstRow = false;
+        }
+        json += "\n  ],\n";
+        std::printf("1-thread %s/scalar ratio over %d rotating rounds: "
+                    "median %.2fx (min %.2fx, max %.2fx)\n",
+                    frontierName(opts1[f]), pairs, ratios1.med(),
+                    ratios1.min(), ratios1.max());
+    };
+    section(kPacked, "packed frontier (64-lane batched sweeps)",
+            pairRatios);
+    section(kAdaptive,
+            "adaptive frontier (packed while two or more paths wait)",
+            adaptiveRatios);
+    auto pairJson = [&](const char *name,
+                        const bench_util::PairedRatio &r) {
+        char buf[160];
         std::snprintf(buf, sizeof buf,
-                      "    {\"threads\": %u, \"wall_s\": %.4f, "
-                      "\"forks_per_sec\": %.0f, \"lane_occupancy\": "
-                      "%.3f, \"ratio_vs_scalar\": %.3f}",
-                      t, best, forksPerSec, occupancy, ratio);
-        json += std::string(first ? "" : ",\n") + buf;
-        first = false;
-    }
-    std::printf("1-thread packed/scalar ratio over %d alternating "
-                "pairs: median %.2fx (min %.2fx, max %.2fx)\n",
-                pairs, ratio1t, ratio1tMin, ratio1tMax);
-    char pairBuf[160];
-    std::snprintf(pairBuf, sizeof pairBuf,
-                  "\n  ],\n  \"ratio_1t_pairs\": {\"pairs\": %d, "
-                  "\"median\": %.3f, \"min\": %.3f, \"max\": %.3f}\n}\n",
-                  pairs, ratio1t, ratio1tMin, ratio1tMax);
-    json += pairBuf;
+                      "  \"%s\": {\"pairs\": %d, \"median\": %.3f, "
+                      "\"min\": %.3f, \"max\": %.3f}",
+                      name, pairs, r.med(), r.min(), r.max());
+        return std::string(buf);
+    };
+    json += pairJson("ratio_1t_pairs", pairRatios) + ",\n" +
+            pairJson("adaptive_ratio_1t_pairs", adaptiveRatios) + "\n}\n";
 
     std::ofstream(bench_util::outDir() + "BENCH_sym_explore.json")
         << json;

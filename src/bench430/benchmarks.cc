@@ -37,6 +37,22 @@ __forever:
 )";
 }
 
+std::string
+forkStressSource(unsigned rounds)
+{
+    std::string body = "        mov #0, r4\n";
+    for (unsigned i = 0; i < rounds; ++i) {
+        std::string skip = "fs_skip_" + std::to_string(i);
+        body += "        mov &PIN, r5\n"
+                "        and #1, r5\n"
+                "        jz " + skip + "\n"
+                "        add #1, r4\n" +
+                skip + ":\n";
+    }
+    body += "        mov r4, &OUT\n";
+    return wrapBenchmarkBody(body);
+}
+
 baseline::InputSet
 Benchmark::makeInput(fuzz::Rng &rng) const
 {

@@ -70,6 +70,16 @@ const std::vector<std::string> &allBenchmarkNames();
  */
 std::string wrapBenchmarkBody(const std::string &body);
 
+/**
+ * The fork stressmark of bench_sym_explore: @p rounds port-dependent
+ * branches over a live accumulator. After round i the accumulator
+ * holds one of i+1 values, so states neither explode exponentially
+ * nor collapse into one: the exploration tree has ~rounds^2/2 nodes,
+ * each a few cycles long -- the worst case for fork (snapshot +
+ * dedup) throughput and a wide frontier for the packed lanes.
+ */
+std::string forkStressSource(unsigned rounds);
+
 /// @name Raw benchmark bodies (programs.cc / programs2.cc)
 /// @{
 std::string multBody();

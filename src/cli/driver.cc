@@ -113,10 +113,10 @@ usage()
         "                    proves constant under each scenario\n"
         "                    (see ullint; never changes a reported\n"
         "                    number)\n"
-        "  --packed-explore  drain the exploration frontier through\n"
-        "                    the bit-parallel kernel, up to 64 paths\n"
-        "                    per sweep (never changes a reported\n"
-        "                    number)\n"
+        "  --packed-explore  drain every path through the 64-lane\n"
+        "                    bit-parallel kernel; by default it is\n"
+        "                    used only while two or more paths wait\n"
+        "                    (never changes a reported number)\n"
         "  --json FILE       write the suite report as JSON\n"
         "  --csv FILE        write per-program rows as CSV\n"
         "  --envelope[=json|csv]\n"

@@ -50,7 +50,8 @@ struct CliOptions {
      *  fields of those names; --threads (numThreads), --freq,
      *  --eval-mode, --loop-bound (inputDependentLoopBound),
      *  --max-cycles (maxTotalCycles), --static-prune,
-     *  --packed-explore, --envelope (recordEnvelope) and --windows
+     *  --packed-explore (packedExplore: Frontier::Packed),
+     *  --envelope (recordEnvelope) and --windows
      *  (envelopeWindows) set batch.analysis, whose knobs are
      *  documented on sym::SymbolicConfig. Its one CLI-specific
      *  default: results cache in .ulpeak-cache. */

@@ -111,10 +111,8 @@ runReplay(const FaultCliOptions &cli)
     ropts.powerCtx = &ctx;
 
     peak::Envelope env;
-    if (copts.withEnvelope) {
-        peak::Options aopts = copts;
-        aopts.recordEnvelope = true;
-        peak::Report rep = peak::analyze(sys, image, aopts);
+    if (copts.recordEnvelope) {
+        peak::Report rep = peak::analyze(sys, image, copts);
         if (rep.ok && rep.envelope.present) {
             env = std::move(rep.envelope);
             ropts.envelope = &env;
@@ -210,7 +208,7 @@ parseFaultArgs(int argc, const char *const *argv, FaultCliOptions &out,
         } else if (a == "--scalar") {
             c.packed = false;
         } else if (a == "--envelope") {
-            c.withEnvelope = true;
+            c.recordEnvelope = true;
         } else if (a == "--no-cache") {
             out.noCache = true;
         } else if (a == "--no-timings") {

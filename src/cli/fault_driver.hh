@@ -47,7 +47,7 @@ struct FaultCliOptions {
     /** The campaign, written by parseFaultArgs directly: --seed,
      *  --jobs, --scalar (packed = false), --cycles-per-site,
      *  --max-sites (maxFlopSites), --ram-sites, --hang-cycles,
-     *  --port (portIn), --freq, --envelope (withEnvelope),
+     *  --port (portIn), --freq, --envelope (recordEnvelope),
      *  --cache-dir. Its one CLI-specific default: the campaign
      *  cache lives in .ulpeak-cache. */
     fault::CampaignOptions campaign;

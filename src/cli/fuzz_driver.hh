@@ -57,8 +57,9 @@
  *               --lint-programs random programs (`--mode lint`
  *               honors a bare --programs N as the item count too);
  * 10. packed-sym -- packed-frontier exploration identity: the
- *               analysis with Options::packedExplore (pending paths
- *               drained through the 64-lane kernel) reports
+ *               analyses with the Packed frontier (pending paths
+ *               drained through the 64-lane kernel) and the Adaptive
+ *               one (kernels switched by frontier width) report
  *               bit-identical numbers, traces, envelopes and
  *               activity sets to the scalar exploration under random
  *               scenarios / DVFS schedules / snapshot modes /

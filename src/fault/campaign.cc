@@ -235,8 +235,8 @@ campaignCacheKey(const CellLibrary &lib, const isa::Image &image,
     util::hashU64(h, opts.goldenMaxCycles);
     util::hashU64(h, opts.hangCycles);
     util::hashDouble(h, opts.freqHz);
-    util::hashU64(h, opts.withEnvelope ? 1 : 0);
-    if (opts.withEnvelope) {
+    util::hashU64(h, opts.recordEnvelope ? 1 : 0);
+    if (opts.recordEnvelope) {
         util::hashU64(h, opts.maxTotalCycles);
         util::hashU64(h, opts.maxPathCycles);
         util::hashU64(h, opts.maxNodes);
@@ -326,9 +326,10 @@ runCampaign(const CellLibrary &lib, const isa::Image &image,
     // Optional X-based envelope for escape detection (failure is a
     // note, not a campaign error: classification proceeds without).
     peak::Envelope envelope;
-    if (opts.withEnvelope) {
+    if (opts.recordEnvelope) {
         peak::Options aopts = opts;
-        aopts.recordEnvelope = true;
+        aopts.recordActiveSets = false;
+        aopts.recordModuleTrace = false;
         peak::Report rep = peak::analyze(sys, image, aopts);
         if (rep.ok && rep.envelope.present) {
             envelope = std::move(rep.envelope);

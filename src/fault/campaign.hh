@@ -20,7 +20,7 @@
  * lockstep cleanly (otherwise the campaign refuses to run -- fault
  * classification atop a diverging bedrock would be meaningless), and
  * its cycle count defines both the injection-cycle space and the
- * default hang budget. With CampaignOptions::withEnvelope the X-based
+ * default hang budget. With CampaignOptions::recordEnvelope the X-based
  * per-cycle envelope is analyzed once and every faulted run's power
  * trace is compared against it: a faulted run exceeding the envelope
  * is an *escape* -- a reported finding, not an error (the envelope's
@@ -42,9 +42,11 @@ namespace fault {
 /** Campaign options. The inherited analysis knobs (documented on
  *  sym::SymbolicConfig) are the campaign's own: freqHz scales every
  *  faulted run's power trace, evalMode picks the golden and scalar
- *  faulted runs' kernel (classification-invariant by contract), and
- *  all of them steer the envelope analysis of withEnvelope, which
- *  sets recordEnvelope itself. */
+ *  faulted runs' kernel (classification-invariant by contract),
+ *  recordEnvelope (`ulfault --envelope`) analyzes the X-based
+ *  envelope and flags escapes against it, and all of them steer that
+ *  envelope analysis. recordActiveSets and recordModuleTrace are
+ *  ignored: a campaign reports neither. */
 struct CampaignOptions : peak::Options {
     uint64_t seed = 1;
     /** Worker threads (<= 1: serial on the calling thread). */
@@ -63,8 +65,6 @@ struct CampaignOptions : peak::Options {
     uint64_t goldenMaxCycles = 60000;
     /** Hang budget of faulted runs; 0 = 4 * golden cycles + 64. */
     uint64_t hangCycles = 0;
-    /** Analyze the X-based envelope and flag escapes. */
-    bool withEnvelope = false;
     /** Disk cache directory; "" disables caching. */
     std::string cacheDir;
 };
@@ -81,7 +81,7 @@ struct SiteSummary {
     uint32_t siteIndex = 0;
     uint64_t masked = 0, sdc = 0, crash = 0, hang = 0;
     uint64_t notApplied = 0; ///< flips that hit X state (no-ops)
-    uint64_t escapes = 0;    ///< envelope escapes (withEnvelope)
+    uint64_t escapes = 0;    ///< envelope escapes (recordEnvelope)
     float maxPeakPowerW = 0.0f;
 };
 

@@ -1211,9 +1211,11 @@ packedExploreCheck(msp::System &sys, const isa::Image &image,
                    Rng &rng, unsigned threads)
 {
     PropertyResult res;
-    // A random analysis configuration: the packed frontier must be
-    // invisible under every combination the scalar engine supports.
+    // A random analysis configuration: the packed and adaptive
+    // frontiers must be invisible under every combination the scalar
+    // engine supports.
     peak::Options opts;
+    opts.frontier = sym::Frontier::Scalar;
     opts.recordEnvelope = true;
     opts.recordActiveSets = true;
     unsigned kind = rng.below(3);
@@ -1228,7 +1230,7 @@ packedExploreCheck(msp::System &sys, const isa::Image &image,
 
     peak::Report scalar = peak::analyze(sys, image, opts);
     peak::Options popts = opts;
-    popts.packedExplore = true;
+    popts.frontier = sym::Frontier::Packed;
     peak::Report packed = peak::analyze(sys, image, popts);
     std::string diff =
         compareReports(scalar, packed, "scalar", "packed");
@@ -1241,6 +1243,24 @@ packedExploreCheck(msp::System &sys, const isa::Image &image,
     }
     if (!scalar.ok)
         return res; // identically rejected: nothing more to compare
+
+    // The adaptive frontier, serial and with racing workers: one
+    // exploration that switches kernels as deques widen and drain.
+    peak::Options aopts = opts;
+    aopts.frontier = sym::Frontier::Adaptive;
+    for (unsigned t : {1u, threads}) {
+        aopts.numThreads = t;
+        peak::Report adaptive = peak::analyze(sys, image, aopts);
+        diff = compareReports(scalar, adaptive, "scalar", "adaptive");
+        diff += compareTraces(scalar, adaptive, "scalar", "adaptive");
+        if (!diff.empty()) {
+            res.ok = false;
+            res.detail = "scenario " + opts.scenario.summary() +
+                         ": scalar vs adaptive (" + std::to_string(t) +
+                         " threads) diverged:\n" + diff;
+            return res;
+        }
+    }
 
     // The packed runs among themselves: 1-vs-K-thread determinism of
     // the batched frontier (lane refills race across workers, the

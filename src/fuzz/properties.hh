@@ -226,12 +226,14 @@ PropertyResult staticPruneCheck(msp::System &sys,
 
 /**
  * Property 10: packed-frontier exploration identity (`ulfuzz --mode
- * packed-sym`). The analysis with Options::packedExplore -- pending
- * paths drained through the 64-lane bit-parallel kernel -- must
- * report bit-identical peak power, peak energy, NPE, cycle counts,
- * tree statistics, flattened trace, envelope, ever-active and
- * peak-active sets to the scalar exploration, under a random
- * configuration drawn from @p rng: unconstrained / random port
+ * packed-sym`). The analyses with Frontier::Packed -- pending paths
+ * drained through the 64-lane bit-parallel kernel -- and with
+ * Frontier::Adaptive (packed while two or more paths wait, at 1 and
+ * @p threads threads) must report bit-identical peak power, peak
+ * energy, NPE, cycle counts, tree statistics, flattened trace,
+ * envelope, ever-active and peak-active sets to Frontier::Scalar,
+ * under a random configuration drawn from @p rng: unconstrained /
+ * random port
  * scenario / random DVFS mode schedule, Delta or Full snapshots, and
  * (1 in 4) staticPrune riding along. The packed runs among
  * themselves must additionally stay 1-vs-@p threads-thread

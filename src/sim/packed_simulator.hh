@@ -35,8 +35,8 @@
  * but across 64 patterns the union of changed gates approaches the
  * whole cone, so the oblivious sweep wins and stays branch-free. Beyond the embarrassingly multi-pattern
  * consumers (ulfuzz lane sweeps, batched concrete trace validation,
- * fault campaigns), the symbolic engine's packed frontier mode
- * (SymbolicConfig::packedExplore) drives independent pending
+ * fault campaigns), the symbolic engine's packed frontier
+ * (SymbolicConfig::frontier) drives independent pending
  * execution paths through the lanes: loadLaneState / extractLaneState
  * transpose scalar Simulator::Snapshots into and out of a lane, and
  * forceLane / predictSeqValueLane give the engine its per-lane fork

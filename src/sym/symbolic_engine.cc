@@ -37,6 +37,14 @@ constexpr unsigned kDedupShards = 64;
 constexpr size_t kDeltaPromoteNum = 1;
 constexpr size_t kDeltaPromoteDen = 2;
 
+/** Pending paths an Adaptive worker's own deque must hold, with every
+ * slot free, for it to run them through the packed kernel. Below it
+ * the lanes would sweep 64-wide for one path. Two, four and eight
+ * measured within noise of each other on the bench430 suite; sixteen
+ * left the wide programs scalar for much of their run. Purely a
+ * scheduling choice: no result depends on it. */
+constexpr size_t kPackMinWidth = 2;
+
 /** Structural identity of a netlist (kinds + CSR fanins): snapshots
  * transfer between Systems only when this matches. */
 uint64_t
@@ -215,6 +223,13 @@ struct SharedState {
         }
     }
 
+    size_t
+    queueSize(unsigned worker)
+    {
+        std::lock_guard<std::mutex> lock(queues[worker].mu);
+        return queues[worker].q.size();
+    }
+
     bool
     popOwn(unsigned worker, Pending &out)
     {
@@ -256,11 +271,12 @@ struct SharedState {
  * The scalar and packed frontiers run the same loop: a worker holds
  * in-flight paths in slots (one for the scalar Simulator, 64 for the
  * PackedSimulator's lanes), and only the kernel calls differ --
- * ScalarKernel and PackedKernel below. A packed lane is loaded from a
- * Pending's snapshot, advanced by the shared level-bucketed sweep
- * until it reaches its own fork / halt / failure boundary, then
- * transposed back to a scalar snapshot for the same dedup, capture
- * and commit. The lane-identity invariant of the packed kernel makes
+ * ScalarKernel and PackedKernel below; an Adaptive worker switches
+ * between the two whenever all its slots are free (see explore()). A
+ * packed lane is loaded from a Pending's snapshot, advanced by the
+ * shared level-bucketed sweep until it reaches its own fork / halt /
+ * failure boundary, then transposed back to a scalar snapshot for
+ * the same dedup, capture and commit. The lane-identity invariant of the packed kernel makes
  * every per-lane byte -- values, activity, energies, and therefore
  * hashes, keys, traces and snapshots -- equal to the scalar run's,
  * which is the whole bit-identity argument: same keys => same node
@@ -310,49 +326,25 @@ class Worker {
         }
         if (cfg_.recordActiveSets)
             everActive_.assign(sys_->netlist().numGates(), 0);
-        paths_.resize(cfg_.packedExplore ? PackedSimulator::kLanes : 1);
-        if (cfg_.packedExplore) {
-            psim_ = std::make_unique<PackedSimulator>(
-                sys_->netlist());
-            // Per-lane behavioral memory; contents are overwritten at
-            // every lane load, but the ROM image (not part of memory
-            // snapshots) must already be in the copies.
-            laneMem_.assign(PackedSimulator::kLanes, sys_->memory());
-            const msp::CpuHandles &h = sys_->handles();
-            psim_->setHookFn(h.memHookId, [this](PackedSimulator &s) {
-                power::packedMemHook(s, sys_->handles(), laneMem_);
-            });
-            psim_->addEdgeFn([this](PackedSimulator &s) {
-                // Lanes not carrying a pending path are skipped:
-                // their scalar counterparts are not stepping here, so
-                // nothing may commit (the halted-lane rule of the
-                // concrete packed runner, driven by liveness).
-                power::packedMemEdge(s, sys_->handles(), laneMem_,
-                                     haltedMask_, faultMask_,
-                                     /*skip_mask=*/~liveMask_);
-            });
-            // Prime one sweep: edge functions only run when
-            // cycle() > 0, and a loaded lane's first step must run
-            // them against the loaded state exactly like the scalar
-            // restore-then-step sequence. The priming sweep itself is
-            // inert -- every lane is all-X (the memory hook sees an X
-            // enable and returns X data without billing) and no lane
-            // is live, so no edge effect can commit.
-            psim_->step();
-        }
+        paths_.resize(1);
     }
 
     msp::System &sys() { return *sys_; }
     Simulator &sim() { return *sim_; }
 
-    /** Pop/steal-simulate-commit until all work drains or fails. */
+    /** Pop/steal-simulate-commit until all work drains or fails. An
+     *  Adaptive worker leaves one kernel's loop when all its slots are
+     *  free and its own deque says the other kernel fits, and enters
+     *  the other's. */
     void
     explore(SharedState &sh)
     {
-        if (psim_)
-            schedule(sh, PackedKernel{*this});
-        else
-            schedule(sh, ScalarKernel{*this});
+        Frontier f = cfg_.effectiveFrontier();
+        bool adaptive = f == Frontier::Adaptive;
+        bool packed = f == Frontier::Packed;
+        while (packed ? schedule(sh, packedKernel(), adaptive)
+                      : schedule(sh, ScalarKernel{*this}, adaptive))
+            packed = !packed;
     }
 
     /// @name Locally-merged results
@@ -576,29 +568,86 @@ class Worker {
         }
     };
 
+    /** The packed kernel, building the packed side on first use: the
+     *  PackedSimulator, 64 lane memories and the priming sweep. */
+    PackedKernel
+    packedKernel()
+    {
+        if (psim_)
+            return PackedKernel{*this};
+        paths_.resize(PackedSimulator::kLanes);
+        psim_ = std::make_unique<PackedSimulator>(sys_->netlist());
+        // Per-lane behavioral memory; contents are overwritten at
+        // every lane load, but the ROM image (not part of memory
+        // snapshots) must already be in the copies.
+        laneMem_.assign(PackedSimulator::kLanes, sys_->memory());
+        const msp::CpuHandles &h = sys_->handles();
+        psim_->setHookFn(h.memHookId, [this](PackedSimulator &s) {
+            power::packedMemHook(s, sys_->handles(), laneMem_);
+        });
+        psim_->addEdgeFn([this](PackedSimulator &s) {
+            // Lanes not carrying a pending path are skipped: their
+            // scalar counterparts are not stepping here, so nothing
+            // may commit (the halted-lane rule of the concrete packed
+            // runner, driven by liveness).
+            power::packedMemEdge(s, sys_->handles(), laneMem_,
+                                 haltedMask_, faultMask_,
+                                 /*skip_mask=*/~liveMask_);
+        });
+        // Prime one sweep: edge functions only run when cycle() > 0,
+        // and a loaded lane's first step must run them against the
+        // loaded state exactly like the scalar restore-then-step
+        // sequence. The priming sweep itself is inert -- every lane
+        // is all-X (the memory hook sees an X enable and returns X
+        // data without billing) and no lane is live, so no edge
+        // effect can commit.
+        psim_->step();
+        return PackedKernel{*this};
+    }
+
     /** The pop/steal/idle loop: refill free slots from the own deque,
-     *  then by stealing; advance every live path one cycle; otherwise
+     *  then by stealing one path (with peers: only once every slot is
+     *  free); advance every live path one cycle; otherwise
      *  sleep on idleCv. With one slot, a running path costs one mask
-     *  test per cycle and takes no queue lock. */
+     *  test per cycle and takes no queue lock. When @p adaptive and
+     *  every slot is free, returns true if the own deque's width asks
+     *  for the other kernel; returns false once the work is done. */
     template <class K>
-    void
-    schedule(SharedState &sh, K k)
+    bool
+    schedule(SharedState &sh, K k, bool adaptive)
     {
         constexpr uint64_t kSlots =
             K::kWidth == 64 ? ~uint64_t(0)
                             : (uint64_t(1) << K::kWidth) - 1;
+        constexpr bool kPacked = K::kWidth > 1;
         for (;;) {
             if (sh.failed.load())
                 break;
+            if (adaptive && !liveMask_ &&
+                (sh.queueSize(id_) >= kPackMinWidth) != kPacked) {
+                // A slot's held fork state is its own kernel's: the
+                // scalar Simulator's state is not lane 0's, nor the
+                // reverse.
+                dropHeld();
+                return true;
+            }
             // Exceptions must not escape a worker thread (that would
             // terminate the process); convert them into the engine's
             // normal failure reporting.
             try {
+                // Alone, a worker tops its slots up before every step.
+                // With peers it refills only once every slot drained,
+                // and steals only then: the paths its lanes fork in
+                // the meantime wait in its deque, where an idle peer
+                // can take them, instead of all going back into its
+                // own lanes.
+                bool shared = sh.queues.size() > 1;
                 unsigned loaded = 0;
-                for (uint64_t free = kSlots & ~liveMask_; free;) {
+                uint64_t free = shared && liveMask_ ? 0 : kSlots & ~liveMask_;
+                while (free) {
                     Pending p;
                     if (!sh.popOwn(id_, p) &&
-                        !(sh.queues.size() > 1 && sh.stealFrom(id_, p)))
+                        !(shared && !loaded && sh.stealFrom(id_, p)))
                         break;
                     sh.pathsExplored.fetch_add(
                         1, std::memory_order_relaxed);
@@ -607,7 +656,7 @@ class Worker {
                     load(k, l, p);
                     ++loaded;
                 }
-                if (K::kWidth > 1 && loaded)
+                if (kPacked && loaded)
                     sh.packedBatches.fetch_add(
                         1, std::memory_order_relaxed);
                 if (liveMask_) {
@@ -633,6 +682,16 @@ class Worker {
         }
         std::lock_guard<std::mutex> lock(sh.idleMu);
         sh.idleCv.notify_all();
+        return false;
+    }
+
+    /** Forget every slot's held fork state. */
+    void
+    dropHeld()
+    {
+        for (uint64_t m = heldMask_; m; m &= m - 1)
+            slotHeld_[__builtin_ctzll(m)].reset();
+        heldMask_ = 0;
     }
 
     static const void *
@@ -705,9 +764,7 @@ class Worker {
         }
         // The step moves every slot's state (the packed sweep moves
         // idle lanes too), so no slot holds a fork state past it.
-        for (uint64_t m = heldMask_; m; m &= m - 1)
-            slotHeld_[__builtin_ctzll(m)].reset();
-        heldMask_ = 0;
+        dropHeld();
         k.step(stepped);
         cyclesRun += n;
         if (K::kWidth > 1) {
@@ -1020,10 +1077,11 @@ class Worker {
     /** Per-schedule-phase (energy scale, clock Hz); empty without
      *  operating modes. */
     std::vector<std::pair<double, double>> modeFactors_;
-    /** In-flight paths, one per kernel slot (1 scalar, 64 packed). */
+    /** In-flight paths, one per kernel slot (1 scalar, 64 once the
+     *  packed side exists); the scalar kernel uses slot 0. */
     std::vector<Path> paths_;
     uint64_t liveMask_ = 0; ///< slots holding a path
-    /// @name Packed-frontier state (null/empty unless packedExplore)
+    /// @name Packed-frontier state (built by packedKernel())
     /// @{
     std::unique_ptr<PackedSimulator> psim_;
     std::vector<Memory> laneMem_;

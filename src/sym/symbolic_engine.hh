@@ -23,6 +23,10 @@
  * snapshots for comparison; both modes are bit-identical by
  * construction (restore(delta) == restore(materialize(delta))).
  *
+ * Each worker runs its paths one at a time on the scalar Simulator
+ * and, while two or more are waiting on its deque, up to 64 at a
+ * time through the PackedSimulator's lanes (SymbolicConfig::frontier).
+ *
  * With SymbolicConfig::numThreads > 1 independent execution-tree
  * branches are explored by a worker pool: each worker owns a private
  * work deque (newly forked children push to the owner; idle workers
@@ -67,6 +71,14 @@ enum class SnapshotMode : uint8_t {
     Delta, ///< dirtied entries against a shared base (default)
 };
 
+/** How a worker drains its pending-path frontier (results are
+ *  identical in all three). */
+enum class Frontier : uint8_t {
+    Scalar,   ///< one path at a time on the scalar Simulator (reference)
+    Adaptive, ///< packed while two or more paths wait, else scalar
+    Packed,   ///< always the 64-lane PackedSimulator (reference)
+};
+
 /**
  * The knobs of one analysis, documented here once for every layer:
  * peak::Options derives from this struct (adding only the envelope
@@ -77,7 +89,8 @@ enum class SnapshotMode : uint8_t {
  * Result-affecting knobs -- freqHz, the three limits, the loop bound,
  * the scenario and recordEnvelope -- participate in the batch result
  * cache key (peak::cacheKey). The strategy knobs numThreads, evalMode,
- * snapshotMode, staticPrune and packedExplore never change a reported
+ * snapshotMode, staticPrune and frontier (with its older spelling
+ * packedExplore) never change a reported
  * number, so they are left out of it and a re-run under a different
  * strategy still hits; so are the trace flags recordActiveSets and
  * recordModuleTrace, whose data is never cached.
@@ -159,23 +172,49 @@ struct SymbolicConfig {
      */
     bool staticPrune = false;
     /**
-     * Drain the pending-path frontier through the 64-lane
-     * PackedSimulator (`--packed-explore`): each worker loads up to
-     * 64 pending execution paths into lanes (stealing to fill),
-     * advances all of them with one level-bucketed packed sweep per
-     * cycle, and transposes a lane back to a scalar snapshot when it
-     * reaches its next fork / halt / dedup boundary. The exploration
-     * loop is the scalar one with 64 slots instead of one. Backed by
-     * the packed kernel's lane-identity invariant, every reported
-     * number -- peak power, peak energy, NPE, envelope, activity
-     * sets, path/merge/snapshot statistics -- is bit-identical to the
-     * scalar exploration across threads, kernels, snapshot modes,
-     * scenarios, operating-mode schedules, and staticPrune (fuzz
-     * `--mode packed-sym` enforces this). Only the
-     * scheduling-dependent statistics (steals, per-worker cycles,
-     * packed batch/occupancy counters) differ.
+     * How each worker drains its pending paths. A worker holds
+     * in-flight paths in slots -- one on the scalar Simulator, 64 on
+     * the PackedSimulator's lanes, which advance together with one
+     * level-bucketed packed sweep per cycle and are transposed back
+     * to a scalar snapshot at their next fork / halt / dedup
+     * boundary. The exploration loop is the same for both; only the
+     * kernel calls differ.
+     *
+     * Adaptive (the default) chooses at every refill that finds all
+     * slots free: packed while the worker's own deque holds two or
+     * more pending paths, scalar otherwise, so single-path programs
+     * never build the packed side and wide trees get the lanes.
+     * Scalar and Packed pin one kernel and serve as the reference
+     * oracles. Under EvalMode::FullSweep an Adaptive exploration
+     * stays scalar, so `--eval-mode full` remains an all-scalar
+     * reference.
+     *
+     * Backed by the packed kernel's lane-identity invariant, every
+     * reported number -- peak power, peak energy, NPE, envelope,
+     * activity sets, path/merge/snapshot statistics -- is
+     * bit-identical across the three, threads, kernels, snapshot
+     * modes, scenarios, operating-mode schedules and staticPrune
+     * (fuzz `--mode packed-sym` checks Adaptive and Packed against
+     * Scalar). Only the scheduling-dependent statistics (steals,
+     * per-worker cycles, packed batch/occupancy counters) differ.
      */
+    Frontier frontier = Frontier::Adaptive;
+    /** Older spelling of frontier = Packed (`--packed-explore`);
+     *  when set it overrides frontier. */
     bool packedExplore = false;
+
+    /** The frontier a run uses: packedExplore forces Packed, and an
+     *  Adaptive run under EvalMode::FullSweep stays Scalar. */
+    Frontier
+    effectiveFrontier() const
+    {
+        if (packedExplore)
+            return Frontier::Packed;
+        if (frontier == Frontier::Adaptive &&
+            evalMode == EvalMode::FullSweep)
+            return Frontier::Scalar;
+        return frontier;
+    }
 };
 
 /**
@@ -220,7 +259,10 @@ struct Summary {
     uint64_t snapshotBytesFull = 0;
     /** Simulated cycles per exploration worker (size numThreads). */
     std::vector<uint64_t> perWorkerCycles;
-    /// @name Packed-frontier counters (zero unless packedExplore)
+    /// @name Packed-frontier counters
+    /// Zero when no worker switched to the packed kernel: under
+    /// Frontier::Scalar, and under Adaptive when no worker ever had
+    /// two paths waiting (single-path programs).
     /// @{
     /** Lane-refill rounds that loaded at least one pending path. */
     uint64_t packedBatches = 0;

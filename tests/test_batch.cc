@@ -478,6 +478,9 @@ TEST(Batch, CacheKeyExclusionRules)
     peak::Options packed = base;
     packed.packedExplore = true;
     EXPECT_EQ(peak::cacheKey(lib, img, packed), k0);
+    peak::Options frontier = base;
+    frontier.frontier = sym::Frontier::Scalar;
+    EXPECT_EQ(peak::cacheKey(lib, img, frontier), k0);
 
     // Result-affecting knobs must.
     peak::Options freq = base;

@@ -359,14 +359,14 @@ TEST(FaultCampaign, CacheKeyExcludesExecutionStrategyOnly)
     o.portIn = 1;
     EXPECT_NE(fault::campaignCacheKey(lib, img, o), base);
     o = opts;
-    o.withEnvelope = true;
+    o.recordEnvelope = true;
     uint64_t withEnv = fault::campaignCacheKey(lib, img, o);
     EXPECT_NE(withEnv, base);
     // The analysis limits shape only the envelope, so they count
     // exactly when one is analyzed.
     o.maxPathCycles *= 2;
     EXPECT_NE(fault::campaignCacheKey(lib, img, o), withEnv);
-    o.withEnvelope = false;
+    o.recordEnvelope = false;
     EXPECT_EQ(fault::campaignCacheKey(lib, img, o), base);
 
     isa::Image img2 = img;

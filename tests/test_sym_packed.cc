@@ -1,9 +1,10 @@
 /**
  * @file
- * Tests of the packed-frontier exploration mode
- * (SymbolicConfig::packedExplore): pending execution-tree paths
- * drained through the 64-lane bit-parallel kernel must be invisible
- * in every reported number. Covers the batch scheduler's edge cases
+ * Tests of the exploration frontiers (SymbolicConfig::frontier):
+ * pending execution-tree paths drained through the 64-lane
+ * bit-parallel kernel -- always (Packed) or while two or more wait
+ * (Adaptive, the default) -- must be invisible in every reported
+ * number. Covers the batch scheduler's edge cases
  * -- frontiers smaller than 64 lanes, lanes halting mid-batch, dedup
  * merges landing inside a batch, per-lane scenario/mode schedule
  * phases -- plus the scalar<->packed state transpose round-trip and
@@ -13,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bench430/benchmarks.hh"
 #include "peak/peak_analysis.hh"
 #include "sim/packed_simulator.hh"
 #include "tests/cpu_test_util.hh"
@@ -44,10 +46,13 @@ expectIdenticalReports(const peak::Report &a, const peak::Report &b)
     EXPECT_EQ(a.peakActive, b.peakActive);
 }
 
+/** Options recording everything the identity contract covers; the
+ *  scalar frontier by default, the reference the others match. */
 peak::Options
-baseOptions()
+baseOptions(sym::Frontier frontier = sym::Frontier::Scalar)
 {
     peak::Options o;
+    o.frontier = frontier;
     o.recordEnvelope = true;
     o.recordActiveSets = true;
     return o;
@@ -86,6 +91,17 @@ forkySource(unsigned rounds)
     return test::wrapProgram(body);
 }
 
+const char *
+frontierName(sym::Frontier f)
+{
+    switch (f) {
+    case sym::Frontier::Scalar: return "scalar";
+    case sym::Frontier::Adaptive: return "adaptive";
+    case sym::Frontier::Packed: return "packed";
+    }
+    return "?";
+}
+
 /** Port-dependent branches whose two arms take the same number of
  *  cycles: sibling paths stay in lockstep, so packed lanes fork,
  *  step and halt together. */
@@ -116,12 +132,12 @@ TEST(SymPacked, SmallFrontierMatchesScalar)
     msp::System &sys = test::sharedSystem();
     isa::Image img = isa::assemble(straightLineSource());
 
-    peak::Options scalar = baseOptions();
+    peak::Options scalar = baseOptions(sym::Frontier::Scalar);
     peak::Report rs = peak::analyze(sys, img, scalar);
     ASSERT_TRUE(rs.ok) << rs.error;
 
     peak::Options packed = scalar;
-    packed.packedExplore = true;
+    packed.packedExplore = true; // overrides frontier
     peak::Report rp = peak::analyze(sys, img, packed);
     expectIdenticalReports(rs, rp);
 
@@ -224,6 +240,73 @@ TEST(SymPacked, MultiThreadPackedDeterminism)
     expectIdenticalReports(r1, rk);
 }
 
+TEST(SymPacked, AdaptiveMatchesScalarAndPacked)
+{
+    // Adaptive workers switch kernels as their deques widen and
+    // drain, so one exploration mixes scalar and packed paths; every
+    // number and trace must still match both single-kernel oracles,
+    // at one thread and with racing workers.
+    msp::System &sys = test::sharedSystem();
+    const std::pair<const char *, isa::Image> programs[] = {
+        {"fork-stress", isa::assemble(bench430::forkStressSource(24))},
+        {"rle", bench430::benchmarkByName("rle").assembleImage()},
+        {"binSearch",
+         bench430::benchmarkByName("binSearch").assembleImage()},
+    };
+    for (const auto &[name, img] : programs) {
+        peak::Report rs = peak::analyze(sys, img, baseOptions());
+        ASSERT_TRUE(rs.ok) << name << ": " << rs.error;
+        ASSERT_GT(rs.pathsExplored, 2u) << name;
+        for (unsigned threads : {1u, 4u}) {
+            for (sym::Frontier f :
+                 {sym::Frontier::Adaptive, sym::Frontier::Packed}) {
+                SCOPED_TRACE(std::string(name) + " " + frontierName(f) +
+                             " threads=" + std::to_string(threads));
+                peak::Options o = baseOptions(f);
+                o.numThreads = threads;
+                peak::Report r = peak::analyze(sys, img, o);
+                expectIdenticalReports(rs, r);
+                // Racing thieves may keep every deque narrow, so only
+                // the serial run is sure to pack.
+                if (threads == 1) {
+                    EXPECT_GT(r.packedSweeps, 0u);
+                }
+            }
+        }
+    }
+}
+
+TEST(SymPacked, AdaptivePacksOnlyWideFrontiers)
+{
+    // A wide tree keeps two or more paths waiting, so the default
+    // frontier drains it through the lanes; a single-path program
+    // never builds the packed side at all.
+    msp::System &sys = test::sharedSystem();
+    peak::Report wide = peak::analyze(
+        sys, isa::assemble(bench430::forkStressSource(16)), peak::Options());
+    ASSERT_TRUE(wide.ok) << wide.error;
+    EXPECT_GT(wide.packedSweeps, 0u);
+    EXPECT_GT(wide.packedLaneCycles, wide.packedSweeps);
+
+    peak::Report mult = peak::analyze(
+        sys, bench430::benchmarkByName("mult").assembleImage(),
+        peak::Options());
+    ASSERT_TRUE(mult.ok) << mult.error;
+    EXPECT_EQ(mult.pathsExplored, 1u);
+    EXPECT_EQ(mult.packedBatches, 0u);
+    EXPECT_EQ(mult.packedSweeps, 0u);
+
+    // The full-sweep kernel keeps an Adaptive run all-scalar: it is
+    // the reference the event-driven kernel is checked against.
+    peak::Options full;
+    full.evalMode = EvalMode::FullSweep;
+    peak::Report sweep = peak::analyze(
+        sys, isa::assemble(bench430::forkStressSource(16)), full);
+    ASSERT_TRUE(sweep.ok) << sweep.error;
+    EXPECT_EQ(sweep.packedSweeps, 0u);
+    EXPECT_EQ(sweep.peakPowerW, wide.peakPowerW);
+}
+
 TEST(SymPacked, CycleBudgetIsSchedulingIndependent)
 {
     // maxTotalCycles bounds the scheduling-independent cycle total: a
@@ -238,14 +321,15 @@ TEST(SymPacked, CycleBudgetIsSchedulingIndependent)
     ASSERT_GT(ref.pathsExplored, 8u);
     const uint64_t total = ref.totalCycles;
 
-    for (bool packed : {false, true}) {
+    for (sym::Frontier f : {sym::Frontier::Scalar, sym::Frontier::Adaptive,
+                            sym::Frontier::Packed}) {
         for (unsigned threads : {1u, 4u}) {
             for (int rep = 0; rep < (threads > 1 ? 5 : 1); ++rep) {
-                SCOPED_TRACE(std::string(packed ? "packed" : "scalar") +
+                SCOPED_TRACE(std::string(frontierName(f)) +
                              " threads=" + std::to_string(threads) +
                              " rep=" + std::to_string(rep));
                 peak::Options o;
-                o.packedExplore = packed;
+                o.frontier = f;
                 o.numThreads = threads;
                 o.maxTotalCycles = total;
                 peak::Report fits = peak::analyze(sys, img, o);

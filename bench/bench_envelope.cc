@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/bench_util.hh"
@@ -56,10 +57,12 @@ main()
                 "env cycles", "analyze [s]", "+env [s]", "overhead",
                 "peak [mW]", "sustain [mW]");
 
-    std::string json = "{\n  \"bench\": \"envelope\",\n"
-                       "  \"reps\": " +
-                       std::to_string(kReps) +
-                       ",\n  \"programs\": [\n";
+    std::string json =
+        "{\n  \"bench\": \"envelope\",\n"
+        "  \"host_cpus\": " +
+        std::to_string(std::thread::hardware_concurrency()) +
+        ",\n  \"reps\": " + std::to_string(kReps) +
+        ",\n  \"programs\": [\n";
     bool first = true;
     for (const std::string &name : names) {
         isa::Image img =

@@ -104,19 +104,9 @@ usage()
         "  --jobs N          program-level workers         (default 1)\n"
         "  --threads N       symbolic workers per analysis (default 1)\n"
         "  --freq HZ         operating frequency [Hz]  (default 1e8)\n"
-        "  --eval-mode M     simulation kernel: event|full "
-        "(default event)\n"
         "  --loop-bound N    input-dependent loop bound    (default 0)\n"
         "  --max-cycles N    total symbolic cycle budget "
         "(default 3000000)\n"
-        "  --static-prune    skip gates the static lint analysis\n"
-        "                    proves constant under each scenario\n"
-        "                    (see ullint; never changes a reported\n"
-        "                    number)\n"
-        "  --packed-explore  drain every path through the 64-lane\n"
-        "                    bit-parallel kernel; by default it is\n"
-        "                    used only while two or more paths wait\n"
-        "                    (never changes a reported number)\n"
         "  --json FILE       write the suite report as JSON\n"
         "  --csv FILE        write per-program rows as CSV\n"
         "  --envelope[=json|csv]\n"
@@ -217,20 +207,6 @@ parseArgs(int argc, const char *const *argv, CliOptions &out,
                 err = std::string("--freq: bad frequency: ") + v;
                 return false;
             }
-        } else if (a == "--eval-mode") {
-            const char *v = value("--eval-mode");
-            if (!v)
-                return false;
-            if (std::string(v) == "event")
-                out.batch.analysis.evalMode = EvalMode::EventDriven;
-            else if (std::string(v) == "full")
-                out.batch.analysis.evalMode = EvalMode::FullSweep;
-            else {
-                err = std::string("--eval-mode: expected event|full, "
-                                  "got ") +
-                      v;
-                return false;
-            }
         } else if (a == "--envelope" ||
                    a.rfind("--envelope=", 0) == 0) {
             out.batch.analysis.recordEnvelope = true;
@@ -256,10 +232,6 @@ parseArgs(int argc, const char *const *argv, CliOptions &out,
                     return false;
                 }
             }
-        } else if (a == "--static-prune") {
-            out.batch.analysis.staticPrune = true;
-        } else if (a == "--packed-explore") {
-            out.batch.analysis.packedExplore = true;
         } else if (a == "--no-timings") {
             out.noTimings = true;
         } else if (a == "--scenario") {

@@ -48,13 +48,14 @@ struct CliOptions {
     /** The batch and engine options, written by parseArgs directly:
      *  --jobs, --cache-dir and --fail-fast set the BatchOptions
      *  fields of those names; --threads (numThreads), --freq,
-     *  --eval-mode, --loop-bound (inputDependentLoopBound),
-     *  --max-cycles (maxTotalCycles), --static-prune,
-     *  --packed-explore (packedExplore: Frontier::Packed),
-     *  --envelope (recordEnvelope) and --windows
+     *  --loop-bound (inputDependentLoopBound), --max-cycles
+     *  (maxTotalCycles), --envelope (recordEnvelope) and --windows
      *  (envelopeWindows) set batch.analysis, whose knobs are
-     *  documented on sym::SymbolicConfig. Its one CLI-specific
-     *  default: results cache in .ulpeak-cache. */
+     *  documented on sym::SymbolicConfig. --jobs and --threads are
+     *  the only strategy flags: the kernel, snapshot form and
+     *  exploration frontier keep their defaults, and the reference
+     *  settings stay reachable through the library only. Its one
+     *  CLI-specific default: results cache in .ulpeak-cache. */
     peak::BatchOptions batch;
     std::string jsonPath;       ///< --json FILE ("" = no JSON output)
     std::string csvPath;        ///< --csv FILE ("" = no CSV output)

@@ -74,7 +74,7 @@ fuzzUsage()
         "  --dvfs-programs N  operating-mode dominance programs\n"
         "                    (default 8; `--mode dvfs` also honors a\n"
         "                    bare --programs N as the item count)\n"
-        "  --lint-programs N  static-prune soundness programs\n"
+        "  --lint-programs N  constant-claim soundness programs\n"
         "                    (default 6; `--mode lint` also honors a\n"
         "                    bare --programs N as the item count)\n"
         "  --psym-programs N  packed-frontier exploration identity\n"
@@ -601,12 +601,12 @@ runLint(const FuzzCliOptions &cli, msp::System &sys, Counters &c)
         ++c.run;
         try {
             isa::Image image = isa::assemble(prog.source);
-            fuzz::PropertyResult r = fuzz::staticPruneCheck(
-                sys, image, rng, cli.threads);
+            fuzz::PropertyResult r =
+                fuzz::constantClaimCheck(sys, image, rng);
             if (!r.ok) {
                 ++c.failed;
-                std::printf("lint item %u (seed %llu) PRUNE "
-                            "UNSOUNDNESS:\n%sprogram:\n%s\n",
+                std::printf("lint item %u (seed %llu) CONSTANT CLAIM "
+                            "UNSOUND:\n%sprogram:\n%s\n",
                             i, (unsigned long long)cli.seed,
                             r.detail.c_str(), prog.source.c_str());
             }

@@ -45,25 +45,21 @@
  *               every mode-obeying concrete run, on --dvfs-programs
  *               random programs (`--mode dvfs` honors a bare
  *               --programs N as the item count too);
- *  9. lint   -- static-prune soundness: the netlist passes
- *               structural lint, every constant the scenario-aware
- *               const analysis proves is held by a concrete
- *               scenario-obeying run from the engage cycle on, and
- *               the analysis with Options::staticPrune reports
- *               bit-identical peak power / energy / NPE / envelope /
- *               ever-active set to the unpruned run, with the pruned
- *               runs themselves bit-identical across 1-vs-K threads,
- *               both kernels and both snapshot modes, on
- *               --lint-programs random programs (`--mode lint`
- *               honors a bare --programs N as the item count too);
+ *  9. lint   -- constant-claim soundness: the netlist passes
+ *               structural lint, and every constant the
+ *               scenario-aware const analysis proves is held by a
+ *               concrete scenario-obeying run from its settle cycle
+ *               on, on --lint-programs random programs (`--mode
+ *               lint` honors a bare --programs N as the item count
+ *               too);
  * 10. packed-sym -- packed-frontier exploration identity: the
  *               analyses with the Packed frontier (pending paths
  *               drained through the 64-lane kernel) and the Adaptive
  *               one (kernels switched by frontier width) report
  *               bit-identical numbers, traces, envelopes and
  *               activity sets to the scalar exploration under random
- *               scenarios / DVFS schedules / snapshot modes /
- *               staticPrune, and stays 1-vs-K-thread deterministic,
+ *               scenarios / DVFS schedules / snapshot modes, and
+ *               stays 1-vs-K-thread deterministic,
  *               on --psym-programs random programs
  *               (`--mode packed-sym` honors a bare --programs N as
  *               the item count too).
@@ -103,7 +99,7 @@ struct FuzzCliOptions {
                                 ///< determinism programs
     unsigned dvfsPrograms = 8;  ///< --dvfs-programs: mode-dominance
                                 ///< runs
-    unsigned lintPrograms = 6;  ///< --lint-programs: static-prune
+    unsigned lintPrograms = 6;  ///< --lint-programs: constant-claim
                                 ///< soundness runs
     unsigned psymPrograms = 6;  ///< --psym-programs: packed-frontier
                                 ///< exploration identity runs

@@ -119,8 +119,9 @@ lintUsage()
         "lint (combinational loops, floating inputs, multi-driven\n"
         "nets, dead gates, fanout hotspots) and scenario-aware\n"
         "constant-cone analysis (gates provably constant under a\n"
-        "deployment scenario, the prune mask `ulpeak --static-prune`\n"
-        "uses, and the static quiescent/switching energy split).\n"
+        "deployment scenario, the prune set a settled simulator\n"
+        "could skip, and the static quiescent/switching energy\n"
+        "split).\n"
         "\n"
         "options:\n"
         "  --scenario S[,S...]  scenarios to analyze (names or\n"

@@ -12,8 +12,8 @@
  *    checks whose Error count is the process exit status;
  *  - scenario-aware constant analysis, once per --scenario: the
  *    gates provably constant under that deployment scenario, their
- *    settle depths, the prune mask `ulpeak --static-prune` installs,
- *    and the static energy split (quiescent vs still-switchable
+ *    settle depths, the prune set (the quiescent cone a settled
+ *    simulator could skip), and the static energy split (quiescent vs still-switchable
  *    upper bound) with per-module quiescent cones.
  *
  * Scenarios are analyzed by a --jobs worker pool; the report (stdout

@@ -144,12 +144,14 @@ struct ReportDiff {
 
 /**
  * The fields every report identity property pins: ok/error, the four
- * bounds and the envelope. Returns whether both analyses succeeded,
- * i.e. whether the caller's further fields are comparable.
+ * bounds, the envelope and the scheduling-independent tree
+ * statistics.
  */
-bool
-compareBounds(ReportDiff &d, const peak::Report &a, const peak::Report &b)
+std::string
+compareReports(const peak::Report &a, const peak::Report &b,
+               const char *what_a, const char *what_b)
 {
+    ReportDiff d{what_a, what_b};
     std::ostringstream &os = d.os;
     if (!a.ok && !b.ok) {
         // Both analyses rejected the program the same way: the
@@ -158,12 +160,12 @@ compareBounds(ReportDiff &d, const peak::Report &a, const peak::Report &b)
         if (a.error != b.error)
             os << "errors differ: " << d.whatA << "=\"" << a.error
                << "\" " << d.whatB << "=\"" << b.error << "\"\n";
-        return false;
+        return os.str();
     }
     if (!a.ok || !b.ok) {
         os << d.whatA << " ok=" << a.ok << " (" << a.error << "), "
            << d.whatB << " ok=" << b.ok << " (" << b.error << ")\n";
-        return false;
+        return os.str();
     }
     d.field("peakPowerW", a.peakPowerW, b.peakPowerW);
     d.field("peakEnergyJ", a.peakEnergyJ, b.peakEnergyJ);
@@ -185,24 +187,11 @@ compareBounds(ReportDiff &d, const peak::Report &a, const peak::Report &b)
             b.envelope.peakWindowEnergyJ)
             os << "envelope.peakWindowEnergyJ: peaks differ\n";
     }
-    return true;
-}
-
-/** compareBounds plus the scheduling-independent tree statistics. */
-std::string
-compareReports(const peak::Report &a, const peak::Report &b,
-               const char *what_a, const char *what_b)
-{
-    ReportDiff d{what_a, what_b};
-    if (compareBounds(d, a, b)) {
-        d.field("totalCycles", double(a.totalCycles),
-                double(b.totalCycles));
-        d.field("pathsExplored", double(a.pathsExplored),
-                double(b.pathsExplored));
-        d.field("dedupMerges", double(a.dedupMerges),
-                double(b.dedupMerges));
-    }
-    return d.os.str();
+    d.field("totalCycles", double(a.totalCycles), double(b.totalCycles));
+    d.field("pathsExplored", double(a.pathsExplored),
+            double(b.pathsExplored));
+    d.field("dedupMerges", double(a.dedupMerges), double(b.dedupMerges));
+    return os.str();
 }
 
 } // namespace
@@ -1016,48 +1005,23 @@ modeDominanceCheck(msp::System &sys, const isa::Image &image,
     return res;
 }
 
-namespace {
-
-/**
- * compareBounds plus the ever-active set, without compareReports'
- * tree-shape statistics: with maxPruneDepth > 0 the pruned run
- * hashes pre-engage forks with the full basis and post-engage forks
- * with the pruned one, so a dedup merge between a pre- and a
- * post-engage state can be missed and the exploration re-walks a
- * (bound-identical) duplicate subtree. totalCycles / pathsExplored /
- * dedupMerges may therefore differ from the unpruned run; every
- * reported *bound* may not.
- */
-std::string
-comparePrunedBounds(const peak::Report &a, const peak::Report &b,
-                    const char *what_a, const char *what_b)
-{
-    ReportDiff d{what_a, what_b};
-    if (compareBounds(d, a, b) && a.everActive != b.everActive)
-        d.os << "everActive: sets differ\n";
-    return d.os.str();
-}
-
-} // namespace
-
 PropertyResult
-staticPruneCheck(msp::System &sys, const isa::Image &image, Rng &rng,
-                 unsigned threads)
+constantClaimCheck(msp::System &sys, const isa::Image &image, Rng &rng)
 {
     PropertyResult res;
     std::ostringstream os;
 
-    // 1 in 4 unconstrained (the ullint / `ulpeak --static-prune`
-    // default, where only reset/irq/Const seeds prune), else a random
-    // port scenario so pinned-bit cones join the mask.
+    // 1 in 4 unconstrained (the ullint default, where only
+    // reset/irq/Const seeds prove constants), else a random port
+    // scenario so pinned-bit cones join the prune set.
     scenario::Scenario scn;
     if (!rng.chance(25))
         scn = randomScenario(rng);
 
     // --- Static claims validated against a concrete run -----------
-    // The real core must be structurally clean: pruning (and the
-    // lint CLI's exit status) assume no comb loops, no floating
-    // inputs, no overlapping hook drivers.
+    // The real core must be structurally clean: the constant
+    // analysis (and the lint CLI's exit status) assume no comb loops,
+    // no floating inputs, no overlapping hook drivers.
     const Netlist &nl = sys.netlist();
     lint::StructuralReport sr = lint::structuralLint(nl);
     if (sr.errors() != 0) {
@@ -1071,8 +1035,7 @@ staticPruneCheck(msp::System &sys, const isa::Image &image, Rng &rng,
         return res;
     }
 
-    // The same analysis the engine runs for SymbolicConfig::
-    // staticPrune (see SymbolicEngine::run).
+    // The analysis ullint reports for this scenario.
     lint::ConstAnalysisOptions lo;
     lo.scenario = scn;
     const msp::CpuHandles &h = sys.handles();
@@ -1080,13 +1043,12 @@ staticPruneCheck(msp::System &sys, const isa::Image &image, Rng &rng,
     lo.drivenConstants = {{h.rstn, V4::One}, {h.irq, V4::Zero}};
     lint::ConstAnalysis ca = lint::analyzeConstants(nl, lo);
 
-    // Drive one concrete scenario-obeying run and check every masked
-    // gate holds exactly its proven value from the engage cycle on.
-    // cycle_ increments at the end of step(), and the first step the
-    // engine would skip runs with cycle_ == engage, so the invariant
-    // it relies on is: after every step with sim.cycle() >= engage
-    // the masked values equal the proven constants (and from the
-    // next step on the gates never even toggle).
+    // Drive one concrete scenario-obeying run and check every gate in
+    // the prune set holds exactly its proven value from the settle
+    // bound (reset end + 1 + maxPruneDepth) on. cycle_ increments at
+    // the end of step(), so the claim is: after every step with
+    // sim.cycle() >= settled the members equal the proven constants
+    // (and from the next step on they never even toggle).
     sys.memory().reset();
     sys.loadImage(image);
     for (const auto &[addr, words] : scn.ramInit)
@@ -1095,7 +1057,7 @@ staticPruneCheck(msp::System &sys, const isa::Image &image, Rng &rng,
     Simulator sim(nl);
     sys.attach(sim);
     sys.reset(sim);
-    const uint64_t engage = sim.cycle() + 1 + ca.maxPruneDepth;
+    const uint64_t settled = sim.cycle() + 1 + ca.maxPruneDepth;
     const uint64_t maxCycles = sim.cycle() + 400;
     while (!sys.halted() && sim.cycle() < maxCycles) {
         const scenario::PortPattern &p =
@@ -1104,7 +1066,7 @@ staticPruneCheck(msp::System &sys, const isa::Image &image, Rng &rng,
         sim.step([&](Simulator &s) {
             sys.driveCycle(s, Word16::known(w));
         });
-        if (sim.cycle() < engage)
+        if (sim.cycle() < settled)
             continue;
         for (GateId g = 0; g < GateId(nl.numGates()); ++g) {
             if (!ca.pruneMask[g])
@@ -1113,18 +1075,18 @@ staticPruneCheck(msp::System &sys, const isa::Image &image, Rng &rng,
                 os << "cycle " << (sim.cycle() - 1) << " gate " << g
                    << " (" << nl.gateName(g) << "): proven "
                    << v4Char(ca.value[g]) << " but concrete run has "
-                   << v4Char(sim.value(g)) << " (engage " << engage
+                   << v4Char(sim.value(g)) << " (settled " << settled
                    << ", scenario " << scn.summary() << ")\n";
                 res.ok = false;
                 res.detail = os.str();
                 return res;
             }
-            if (sim.cycle() > engage && sim.isActive(g)) {
+            if (sim.cycle() > settled && sim.isActive(g)) {
                 os << "cycle " << (sim.cycle() - 1) << " gate " << g
                    << " (" << nl.gateName(g)
                    << "): proven constant but toggled after the "
-                      "engage cycle "
-                   << engage << " (scenario " << scn.summary()
+                      "settle cycle "
+                   << settled << " (scenario " << scn.summary()
                    << ")\n";
                 res.ok = false;
                 res.detail = os.str();
@@ -1133,51 +1095,6 @@ staticPruneCheck(msp::System &sys, const isa::Image &image, Rng &rng,
         }
     }
 
-    // --- Pruned vs unpruned report identity ------------------------
-    peak::Options base;
-    base.recordEnvelope = true;
-    base.recordActiveSets = true;
-    base.scenario = scn;
-    peak::Report unp = peak::analyze(sys, image, base);
-
-    peak::Options popts = base;
-    popts.staticPrune = true;
-    peak::Report pru = peak::analyze(sys, image, popts);
-
-    std::string diff =
-        comparePrunedBounds(unp, pru, "unpruned", "pruned");
-    if (!diff.empty()) {
-        res.ok = false;
-        res.detail = "scenario " + scn.summary() + ":\n" + diff;
-        return res;
-    }
-    if (!unp.ok)
-        return res; // identically rejected: nothing more to compare
-
-    // The pruned runs among themselves share one hash basis and one
-    // engage cycle, so like symDeterminismCheck they must agree on
-    // every scheduling-independent field, statistics included.
-    peak::Options o = popts;
-    o.numThreads = threads;
-    diff = compareReports(pru, peak::analyze(sys, image, o),
-                          "pruned-1-thread", "pruned-K-thread");
-    if (diff.empty()) {
-        o = popts;
-        o.evalMode = EvalMode::FullSweep;
-        diff = compareReports(pru, peak::analyze(sys, image, o),
-                              "pruned-event", "pruned-sweep");
-    }
-    if (diff.empty()) {
-        o = popts;
-        o.snapshotMode = sym::SnapshotMode::Full;
-        diff = compareReports(pru, peak::analyze(sys, image, o),
-                              "pruned-delta", "pruned-full-snap");
-    }
-    if (!diff.empty()) {
-        res.ok = false;
-        res.detail = "scenario " + scn.summary() +
-                     ": pruned determinism broke:\n" + diff;
-    }
     return res;
 }
 
@@ -1225,8 +1142,6 @@ packedExploreCheck(msp::System &sys, const isa::Image &image,
         opts.scenario = randomModeScenario(rng);
     if (rng.chance(50))
         opts.snapshotMode = sym::SnapshotMode::Full;
-    if (rng.chance(25))
-        opts.staticPrune = true;
 
     peak::Report scalar = peak::analyze(sys, image, opts);
     peak::Options popts = opts;

@@ -194,35 +194,17 @@ PropertyResult modeDominanceCheck(msp::System &sys,
                                   unsigned concrete_runs = 2);
 
 /**
- * Property 9: static-prune soundness (`ulfuzz --mode lint`). Under a
- * random port scenario (or, 1 in 4, the unconstrained default) the
- * analysis with Options::staticPrune on must report bit-identical
- * peak power, peak energy, NPE, max path length, envelope and
- * ever-active set to the unpruned run. Tree-shape statistics
- * (totalCycles / pathsExplored / dedupMerges) are deliberately NOT
- * compared against the unpruned run: when the prune cone needs
- * settle cycles (maxPruneDepth > 0) forks before the engage cycle
- * hash with the full basis while later identical states hash with
- * the pruned basis, so a cross-boundary dedup merge the unpruned run
- * finds can be legitimately missed. The pruned runs *among
- * themselves* (1 vs @p threads threads, EventDriven vs FullSweep,
- * Delta vs Full snapshots) share one basis and must be bit-identical
- * in every scheduling-independent field, statistics included.
- *
- * Independently, the static claims themselves are validated: the
- * core netlist must pass structural lint with zero errors, and a
- * concrete scenario-obeying run (port words drawn inside the
- * scenario constraint each cycle, like scenarioDominanceCheck) must
- * find every gate in lint::ConstAnalysis::pruneMask holding exactly
- * its proven value at every cycle >= the engage cycle the engine
- * would use (reset end + 1 + maxPruneDepth), and inactive on every
- * later cycle. Programs the symbolic engine rejects skip the report
- * comparison (the rejection must still be identical pruned vs
- * unpruned) but never the concrete validation.
+ * Property 9: constant-claim soundness (`ulfuzz --mode lint`). The
+ * core netlist must pass structural lint with zero errors, and under
+ * a random port scenario (or, 1 in 4, the unconstrained default) a
+ * concrete scenario-obeying run (port words drawn inside the scenario
+ * constraint each cycle, like scenarioDominanceCheck) must find every
+ * gate in lint::ConstAnalysis::pruneMask holding exactly its proven
+ * value at every cycle >= the settle bound (reset end + 1 +
+ * maxPruneDepth), and inactive on every later cycle.
  */
-PropertyResult staticPruneCheck(msp::System &sys,
-                                const isa::Image &image, Rng &rng,
-                                unsigned threads = 4);
+PropertyResult constantClaimCheck(msp::System &sys,
+                                  const isa::Image &image, Rng &rng);
 
 /**
  * Property 10: packed-frontier exploration identity (`ulfuzz --mode
@@ -233,11 +215,9 @@ PropertyResult staticPruneCheck(msp::System &sys,
  * energy, NPE, cycle counts, tree statistics, flattened trace,
  * envelope, ever-active and peak-active sets to Frontier::Scalar,
  * under a random configuration drawn from @p rng: unconstrained /
- * random port
- * scenario / random DVFS mode schedule, Delta or Full snapshots, and
- * (1 in 4) staticPrune riding along. The packed runs among
- * themselves must additionally stay 1-vs-@p threads-thread
- * deterministic. Programs both engines reject pass vacuously, but
+ * random port scenario / random DVFS mode schedule, Delta or Full
+ * snapshots. The packed runs among themselves must additionally stay
+ * 1-vs-@p threads-thread deterministic. Programs both engines reject pass vacuously, but
  * the rejection must be identical.
  */
 PropertyResult packedExploreCheck(msp::System &sys,

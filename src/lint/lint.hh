@@ -33,16 +33,15 @@
  *
  * The analysis also derives the *prune set*: proven-constant
  * combinational gates, constants, and pinned inputs -- never
- * sequential gates or hook-driven nets -- that the simulator may
- * skip entirely once settled (Simulator::setStaticPrune,
- * SymbolicConfig::staticPrune). Each pruned gate carries a settle
- * depth: the number of clock edges after reset before its value is
- * guaranteed to have reached the proven constant (0 for purely
- * combinational cones over the seeds, +1 per sequential stage the
- * proof passes through). Soundness of the whole chain is enforced
- * dynamically by fuzz property 9 (`ulfuzz --mode lint`): pruned and
- * unpruned analyses must be bit-identical, and every constant claim
- * is checked against concrete scenario-obeying runs.
+ * sequential gates or hook-driven nets -- that a simulator could
+ * skip entirely once settled; `ullint` reports it as the static
+ * quiescent cone. Each member carries a settle depth: the number of
+ * clock edges after reset before its value is guaranteed to have
+ * reached the proven constant (0 for purely combinational cones over
+ * the seeds, +1 per sequential stage the proof passes through).
+ * Soundness is enforced dynamically by fuzz property 9 (`ulfuzz
+ * --mode lint`): every constant claim is checked against concrete
+ * scenario-obeying runs from the settle cycle on.
  */
 
 #ifndef ULPEAK_LINT_LINT_HH
@@ -127,7 +126,7 @@ struct ConstAnalysis {
      *  cycle before the proven value is guaranteed); only meaningful
      *  where value != X. */
     std::vector<uint32_t> settleDepth;
-    /** 1 = gate may be skipped by a settled simulator: proven-known
+    /** 1 = gate could be skipped by a settled simulator: proven-known
      *  combinational gates, Const cells, pinned port bits and
      *  driver-constant inputs. Sequential gates and hook-driven nets
      *  never join. */

@@ -33,9 +33,9 @@
  * contents, result-affecting analysis options, scenario contents).
  * Which knobs are result-affecting is documented once, on
  * sym::SymbolicConfig: the strategy knobs (numThreads, evalMode,
- * snapshotMode, staticPrune, frontier/packedExplore) and the trace
- * flags are left out, so re-runs under a different thread count,
- * kernel or strategy still hit. recordEnvelope and envelopeWindows *do*
+ * snapshotMode, frontier/packedExplore), the no-op staticPrune and
+ * the trace flags are left out, so re-runs under a different thread
+ * count, kernel or strategy still hit. recordEnvelope and envelopeWindows *do*
  * participate: they change what a cached entry must contain. Entries
  * carry a format-version header (v2 added the envelope fields, v3 the
  * scenario-aware key, v4 operating-mode schedules in the scenario

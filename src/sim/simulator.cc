@@ -145,7 +145,6 @@ struct Simulator::Drain {
     V4 *val;
     const V4 *prev;
     uint8_t *act;
-    const uint8_t *prune; ///< the engaged prune mask, or null
     uint64_t *dirty;
     uint64_t *seqAct; ///< this cycle's flop wake marks
 
@@ -154,17 +153,14 @@ struct Simulator::Drain {
           fanoutPos(s.flat_->fanoutPos.data()),
           seqFanout(s.flat_->seqFanout.data()), val(s.val_.data()),
           prev(s.prev_.data()), act(s.active_.data()),
-          prune(s.staticPruneActive() ? s.pruneMask_->data() : nullptr),
-          dirty(s.dirty_.data()),
-          seqAct(s.seqAct_[0].data())
+          dirty(s.dirty_.data()), seqAct(s.seqAct_[0].data())
     {
     }
 
     /** Mark the consumers of one driver, without branches on data:
      *  the combinational fanouts fanout[fb, fe) when @p a & (@p
-     *  changed | consumer is X) and (with @p kPrune) the consumer is
-     *  not pruned, and the flops seqFanout[sb, se) when @p a. */
-    template <bool kPrune>
+     *  changed | consumer is X), and the flops seqFanout[sb, se)
+     *  when @p a. */
     void
     wake(uint32_t fb, uint32_t fe, uint32_t sb, uint32_t se, uint8_t a,
          uint8_t changed) const
@@ -174,15 +170,11 @@ struct Simulator::Drain {
         // X-valued consumers can be affected: a known-valued consumer
         // of unchanged fanins recomputes the same known value and
         // stays inactive (Section 3.1's X rule applies to X outputs
-        // only). An engaged prune mask drops proven-constant
-        // consumers: re-evaluating one reproduces its settled value
-        // and inactivity, so skipping is value- and energy-neutral.
+        // only).
         for (uint32_t i = fb; i < fe; ++i) {
             GateId t = fanout[i];
             uint32_t pos = fanoutPos[i];
             uint64_t m = a & (changed | uint8_t(val[t] == V4::X));
-            if (kPrune)
-                m &= prune[t] ^ 1;
             dirty[pos >> 6] |= m << (pos & 63);
         }
         for (uint32_t i = sb; i < se; ++i) {
@@ -194,7 +186,6 @@ struct Simulator::Drain {
     /** evalNode's rules for the gate at record @p r, over its padded
      *  pins: Const and Input gates read themselves (an Input's table
      *  row is the identity, and xActive makes its X count as active). */
-    template <bool kPrune>
     void
     eval(const FlatNetlist::NodeRec &r) const
     {
@@ -208,8 +199,8 @@ struct Simulator::Drain {
                     (uint8_t(v == V4::X) & (faninActive | r.xActive));
         val[g] = v;
         act[g] = a;
-        wake<kPrune>(r.fanoutBegin, r.fanoutEnd, r.seqBegin, r.seqEnd,
-                     a, changed);
+        wake(r.fanoutBegin, r.fanoutEnd, r.seqBegin, r.seqEnd, a,
+             changed);
     }
 };
 
@@ -217,54 +208,15 @@ void
 Simulator::wakeGate(GateId g, uint8_t changed)
 {
     const FlatNetlist &f = *flat_;
-    Drain d(*this);
-    uint32_t fb = f.fanoutOffset[g], fe = f.fanoutOffset[g + 1];
-    uint32_t sb = f.seqFanoutOffset[g], se = f.seqFanoutOffset[g + 1];
-    if (d.prune)
-        d.wake<true>(fb, fe, sb, se, 1, changed);
-    else
-        d.wake<false>(fb, fe, sb, se, 1, changed);
-}
-
-void
-Simulator::setStaticPrune(
-    std::shared_ptr<const std::vector<uint8_t>> mask,
-    uint64_t engage_cycle)
-{
-    if (mask && mask->size() != nl_->numGates())
-        throw std::logic_error(
-            "static prune mask size != gate count");
-    pruneMask_ = std::move(mask);
-    pruneEngage_ = engage_cycle;
-    pruneDisabled_ = false;
-    unprunedRuns_.clear();
-    if (!pruneMask_)
-        return;
-    const std::vector<uint8_t> &m = *pruneMask_;
-    for (uint32_t g = 0; g < m.size();) {
-        if (m[g]) {
-            ++g;
-            continue;
-        }
-        uint32_t begin = g;
-        while (g < m.size() && !m[g])
-            ++g;
-        unprunedRuns_.push_back({begin, g});
-    }
+    Drain(*this).wake(f.fanoutOffset[g], f.fanoutOffset[g + 1],
+                      f.seqFanoutOffset[g], f.seqFanoutOffset[g + 1], 1,
+                      changed);
 }
 
 void
 Simulator::setInput(GateId g, V4 v)
 {
     assert(nl_->gate(g).kind == CellKind::Input);
-    if (pruneMask_ && !pruneDisabled_ && (*pruneMask_)[g] &&
-        cycle_ >= pruneEngage_) {
-        if (val_[g] == v)
-            return; // settled pinned input: provably no event
-        // Out-of-contract drive of a proven-constant input: fall
-        // back to unpruned operation rather than go unsound.
-        pruneDisabled_ = true;
-    }
     if (mode_ == EvalMode::EventDriven) {
         // A changed value must wake consumers immediately: when the
         // call happens between steps (legal per the API), the next
@@ -287,13 +239,6 @@ Simulator::setInputBus(const std::vector<GateId> &bus, Word16 w)
 void
 Simulator::forceValue(GateId g, V4 v)
 {
-    // Forcing a masked gate off its proven constant voids the static
-    // analysis: disable pruning rather than go unsound (the symbolic
-    // engine only ever forces PC / register flops, never masked
-    // gates).
-    if (pruneMask_ && !pruneDisabled_ && (*pruneMask_)[g] &&
-        val_[g] != v && cycle_ >= pruneEngage_)
-        pruneDisabled_ = true;
     // Forcing a scheduled combinational gate cannot work in either
     // kernel (the full sweep would recompute it from its fanins,
     // discarding the force): only sequential outputs and Input-kind
@@ -328,12 +273,6 @@ Simulator::injectSeuFlip(GateId g)
     // the flip (same reasoning as forceValue).
     uint32_t si = seqIndexOf_[g];
     assert(si != UINT32_MAX);
-    // An upset can ripple into a proven-constant cone (the proof
-    // assumed fault-free operation), so any injection permanently
-    // disables pruning for this simulator. Fault campaigns never
-    // install masks; this is the defensive backstop.
-    if (pruneMask_)
-        pruneDisabled_ = true;
     V4 cur = val_[g];
     if (cur == V4::X)
         return false;
@@ -491,23 +430,8 @@ Simulator::evalNode(uint32_t node)
 void
 Simulator::sweepFull()
 {
-    if (!staticPruneActive()) {
-        for (uint32_t node : flat_->schedule)
-            evalNode(node);
-        return;
-    }
-    // A masked gate whose activity flag is clear already settled to
-    // its proven constant and cannot toggle again: its re-evaluation
-    // would reproduce val_ and a clear flag, so skipping it is
-    // exact. A masked gate with the flag still set (its settle
-    // transition, or any pre-engage activity carried in a restored
-    // snapshot) is evaluated normally, which clears the flag.
-    const uint8_t *pm = pruneMask_->data();
-    for (uint32_t node : flat_->schedule) {
-        if (node < flat_->numGates && pm[node] && !active_[node])
-            continue;
+    for (uint32_t node : flat_->schedule)
         evalNode(node);
-    }
 }
 
 void
@@ -528,13 +452,9 @@ Simulator::sweepEvent()
         dirty_[pos >> 6] |= uint64_t(val_[inputGates_[i]] == V4::X)
                             << (pos & 63);
     }
-    if (staticPruneActive())
-        drain<true>();
-    else
-        drain<false>();
+    drain();
 }
 
-template <bool kPrune>
 void
 Simulator::drain()
 {
@@ -545,9 +465,9 @@ Simulator::drain()
     // consumers.
     for (size_t i = 0; i < numSeqActive_; ++i) {
         GateId g = seqActive_[i];
-        d.wake<kPrune>(f.fanoutOffset[g], f.fanoutOffset[g + 1],
-                       f.seqFanoutOffset[g], f.seqFanoutOffset[g + 1], 1,
-                       d.val[g] != d.prev[g]);
+        d.wake(f.fanoutOffset[g], f.fanoutOffset[g + 1],
+               f.seqFanoutOffset[g], f.seqFanoutOffset[g + 1], 1,
+               d.val[g] != d.prev[g]);
     }
 
     // One ascending scan over schedule positions. Evaluating a node
@@ -561,7 +481,7 @@ Simulator::drain()
             const FlatNetlist::NodeRec &r =
                 d.rec[w * 64 + size_t(__builtin_ctzll(bits))];
             if (r.kind != FlatNetlist::kHookKind) {
-                d.eval<kPrune>(r);
+                d.eval(r);
                 continue;
             }
             // Behavioral hook at its levelized position.
@@ -876,12 +796,10 @@ Simulator::hashSeqState() const
 namespace {
 
 /** The shared body of hashFullState / hashSnapshotState: FNV-1a over
- *  (values, activity, load history), restricted to the unmasked runs
- *  when @p runs is non-null. */
+ *  (values, activity, load history). */
 uint64_t
 hashStateBytes(const uint8_t *vals, size_t nval, const uint8_t *act,
-               size_t nact, const uint8_t *lpe, size_t nlpe,
-               const std::vector<std::pair<uint32_t, uint32_t>> *runs)
+               size_t nact, const uint8_t *lpe, size_t nlpe)
 {
     uint64_t h = 0xcbf29ce484222325ull;
     auto mix = [&h](const uint8_t *p, size_t len) {
@@ -890,20 +808,6 @@ hashStateBytes(const uint8_t *vals, size_t nval, const uint8_t *act,
             h *= 0x100000001b3ull;
         }
     };
-    if (runs) {
-        // Masked gates hold their proven constant and stay inactive
-        // in every reachable state, so their bytes carry no
-        // information: hash only the unmasked runs. The basis is a
-        // pure function of (mask, engage, cycle), identical across
-        // workers, kernels, and snapshot modes, so dedup keys stay
-        // scheduling-independent.
-        for (const auto &r : *runs)
-            mix(vals + r.first, r.second - r.first);
-        for (const auto &r : *runs)
-            mix(act + r.first, r.second - r.first);
-        mix(lpe, nlpe);
-        return h;
-    }
     mix(vals, nval);
     mix(act, nact);
     mix(lpe, nlpe);
@@ -921,23 +825,16 @@ Simulator::hashFullState() const
     return hashStateBytes(
         reinterpret_cast<const uint8_t *>(val_.data()), val_.size(),
         active_.data(), active_.size(), loadedPrevEdge_.data(),
-        loadedPrevEdge_.size(),
-        staticPruneActive() ? &unprunedRuns_ : nullptr);
+        loadedPrevEdge_.size());
 }
 
 uint64_t
-Simulator::hashSnapshotState(const Snapshot &s) const
+Simulator::hashSnapshotState(const Snapshot &s)
 {
-    // Same basis rule as hashFullState, with the engage test applied
-    // to the snapshot's cycle (the state's own age, not this
-    // simulator's).
-    bool pruned = pruneMask_ && !pruneDisabled_ &&
-                  s.cycle >= pruneEngage_;
     return hashStateBytes(
         reinterpret_cast<const uint8_t *>(s.val.data()), s.val.size(),
         s.activeLast.data(), s.activeLast.size(),
-        s.loadedPrevEdge.data(), s.loadedPrevEdge.size(),
-        pruned ? &unprunedRuns_ : nullptr);
+        s.loadedPrevEdge.data(), s.loadedPrevEdge.size());
 }
 
 } // namespace ulpeak

@@ -24,7 +24,7 @@
  *    order. The drain has no branches on data: cells evaluate
  *    through kCellTruthTable (generated from evalCell), and fanout
  *    and flop wake marks are ORed in as act & (changed |
- *    consumer-is-X) under the static-prune mask. Hooks always run
+ *    consumer-is-X). Hooks always run
  *    (behavioral state such as RAM contents can change between
  *    cycles without any netlist-visible event, and hooks bill
  *    per-access energy). Skipped gates are exactly the gates a full
@@ -254,41 +254,6 @@ class Simulator {
                  std::shared_ptr<const Snapshot> base);
     /// @}
 
-    /**
-     * Install a static prune mask (lint::analyzeConstants's
-     * pruneMask): gates proven to hold one constant value in every
-     * execution the driving scenario admits, from @p engage_cycle on
-     * (the analysis' settle bound: reset cycles + 1 + maxPruneDepth).
-     * Once cycle() reaches @p engage_cycle, the full sweep skips
-     * masked gates whose activity flag is clear (their value and
-     * inactivity are invariants), the event kernel stops enqueueing
-     * them, and hashFullState() drops their (constant) bytes --
-     * identical states keep identical hashes, so dedup merges stay
-     * sound. The mask covers gates only (size numGates); sequential
-     * gates and hook-driven nets must not be masked.
-     *
-     * Soundness contract: the cycle driver keeps driving every
-     * masked input to its proven constant, and no out-of-band state
-     * mutation touches a masked cone. The simulator enforces the
-     * contract defensively: an SEU injection, or a setInput /
-     * forceValue that moves a masked gate off its constant at or
-     * after @p engage_cycle, permanently disables pruning for this
-     * simulator instead of going unsound. Reported values, activity,
-     * and energies are bit-identical with and without a valid mask
-     * (fuzz property 9 enforces this end-to-end).
-     */
-    void
-    setStaticPrune(std::shared_ptr<const std::vector<uint8_t>> mask,
-                   uint64_t engage_cycle);
-    /** True when a mask is installed, not defensively disabled, and
-     *  the engage cycle has been reached. */
-    bool
-    staticPruneActive() const
-    {
-        return pruneMask_ && !pruneDisabled_ &&
-               cycle_ >= pruneEngage_;
-    }
-
     /** FNV-1a hash over all sequential gate outputs. */
     uint64_t hashSeqState() const;
     /** FNV-1a hash over the complete snapshot state (values,
@@ -298,13 +263,11 @@ class Simulator {
      *  claimed it. */
     uint64_t hashFullState() const;
     /** hashFullState over a captured Snapshot instead of the live
-     *  state, with this simulator's prune configuration applied
-     *  against @p s.cycle (the snapshot's own engage test). For a
-     *  snapshot of this simulator's current state the result equals
-     *  hashFullState() bit for bit -- the packed exploration hashes
-     *  extracted lane snapshots through this so its dedup keys match
-     *  the scalar engine's. */
-    uint64_t hashSnapshotState(const Snapshot &s) const;
+     *  state. For a snapshot of a simulator's current state the
+     *  result equals its hashFullState() bit for bit -- the packed
+     *  exploration hashes extracted lane snapshots through this so
+     *  its dedup keys match the scalar engine's. */
+    static uint64_t hashSnapshotState(const Snapshot &s);
 
     /**
      * Predict the value a sequential gate will take at the next clock
@@ -323,7 +286,7 @@ class Simulator {
     void sweepEvent();
     void rebuildActiveList();
     void accumulateEnergy();
-    template <bool kPrune> void drain();
+    void drain();
     /// @name Event-mode marking
     /// @{
     struct Drain; ///< the event kernel's hot loop (simulator.cc)
@@ -376,16 +339,6 @@ class Simulator {
 
     std::vector<HookFn> hookFns_;
     std::vector<EdgeFn> edgeFns_;
-
-    /// @name Static pruning (see setStaticPrune)
-    /// @{
-    std::shared_ptr<const std::vector<uint8_t>> pruneMask_;
-    uint64_t pruneEngage_ = 0;
-    bool pruneDisabled_ = false;
-    /** Maximal [begin, end) runs of unmasked gate ids -- the hash
-     *  basis while pruning is engaged. */
-    std::vector<std::pair<uint32_t, uint32_t>> unprunedRuns_;
-    /// @}
 
     std::vector<GateId> activeList_;
     double actualEnergy_ = 0.0;

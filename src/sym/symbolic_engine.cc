@@ -14,7 +14,6 @@
 
 #include "isa/disassembler.hh"
 #include "isa/encoding.hh"
-#include "lint/lint.hh"
 #include "power/packed_run.hh"
 
 namespace ulpeak {
@@ -94,7 +93,7 @@ struct Path : PathPos {
     std::shared_ptr<const Simulator::Snapshot> base;
     /** Absolute simulator cycle of the path (the scalar sim's cycle()
      *  after restore + steps); stamps extracted lane snapshots so
-     *  prune engagement and deltas line up. */
+     *  their cycle counters match the scalar run's. */
     uint64_t absCycle = 0;
     /// Per-cycle data, committed to the node at the fork/leaf boundary.
     std::vector<float> powerW;
@@ -115,13 +114,11 @@ struct LiveState {
 };
 
 /** Fork-time state of a packed lane, transposed to a scalar snapshot.
- *  Lane identity makes its bytes equal to the scalar run's, and
- *  hashSnapshotState applies the prune-basis rule against the
- *  snapshot's own cycle, so --static-prune keys match too. */
+ *  Lane identity makes its bytes, and so its dedup key, equal to the
+ *  scalar run's. */
 struct LaneState {
-    const Simulator &hasher;
     Simulator::Snapshot snap;
-    uint64_t hash() const { return hasher.hashSnapshotState(snap); }
+    uint64_t hash() const { return Simulator::hashSnapshotState(snap); }
     Simulator::DeltaSnapshot
     delta(const std::shared_ptr<const Simulator::Snapshot> &base) const
     {
@@ -564,7 +561,7 @@ class Worker {
         LaneState
         forkState(unsigned l, uint64_t abs_cycle) const
         {
-            return {*w.sim_, w.psim_->extractLaneState(l, abs_cycle)};
+            return {w.psim_->extractLaneState(l, abs_cycle)};
         }
     };
 
@@ -1148,29 +1145,6 @@ SymbolicEngine::run(const isa::Image &image)
         return res;
     }
     sys_->reset(workers[0]->sim());
-
-    if (cfg_.staticPrune) {
-        // Static quiescence: prove gates constant under the scenario
-        // and let every worker simulator skip them once settled. The
-        // engage cycle is the settle bound relative to the end of
-        // reset: one cycle for the depth-0 combinational cones plus
-        // one per sequential stage the deepest pruned proof crosses.
-        // Bit-identity of all reported numbers with the unpruned
-        // analysis is enforced by fuzz property 9.
-        lint::ConstAnalysisOptions lopts;
-        lopts.scenario = cfg_.scenario;
-        const msp::CpuHandles &h = sys_->handles();
-        lopts.portBits.assign(h.portIn.begin(), h.portIn.end());
-        lopts.drivenConstants = {{h.rstn, V4::One},
-                                 {h.irq, V4::Zero}};
-        lint::ConstAnalysis ca = lint::analyzeConstants(nl, lopts);
-        auto mask = std::make_shared<const std::vector<uint8_t>>(
-            std::move(ca.pruneMask));
-        uint64_t engage =
-            workers[0]->sim().cycle() + 1 + ca.maxPruneDepth;
-        for (auto &w : workers)
-            w->sim().setStaticPrune(mask, engage);
-    }
 
     // Scenario constraints are validated here, not only in the JSON
     // parser: scenarios built programmatically must fail as cleanly

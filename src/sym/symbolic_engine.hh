@@ -89,11 +89,13 @@ enum class Frontier : uint8_t {
  * Result-affecting knobs -- freqHz, the three limits, the loop bound,
  * the scenario and recordEnvelope -- participate in the batch result
  * cache key (peak::cacheKey). The strategy knobs numThreads, evalMode,
- * snapshotMode, staticPrune and frontier (with its older spelling
- * packedExplore) never change a reported
- * number, so they are left out of it and a re-run under a different
- * strategy still hits; so are the trace flags recordActiveSets and
- * recordModuleTrace, whose data is never cached.
+ * snapshotMode and frontier (with its older spelling packedExplore)
+ * never change a reported number, so they are left out of it and a
+ * re-run under a different strategy still hits; so are the trace
+ * flags recordActiveSets and recordModuleTrace, whose data is never
+ * cached, and the no-op staticPrune. Only numThreads is a user
+ * switch (`ulpeak --threads`); evalMode, snapshotMode and frontier
+ * keep their reference settings for tests and benchmarks.
  */
 struct SymbolicConfig {
     /** Clock frequency [Hz] converting per-cycle energy to power
@@ -108,9 +110,9 @@ struct SymbolicConfig {
     uint64_t maxPathCycles = 100000;
     /** Execution-tree node limit; a larger tree fails the run. */
     uint32_t maxNodes = 300000;
-    /** Combinational kernel used by the exploration simulators
-     *  (`--eval-mode`); both kernels give bit-identical reports
-     *  (tests/test_benchmarks.cc across bench430). */
+    /** Combinational kernel used by the exploration simulators;
+     *  both kernels give bit-identical reports (tests/test_benchmarks.cc
+     *  across bench430). FullSweep is the reference oracle. */
     EvalMode evalMode = EvalMode::EventDriven;
     /**
      * Worker threads exploring independent execution-tree branches
@@ -158,18 +160,10 @@ struct SymbolicConfig {
     /** Fork snapshot form; Delta is the fast default, Full the
      *  reference. Never changes any reported number. */
     SnapshotMode snapshotMode = SnapshotMode::Delta;
-    /**
-     * Run lint::analyzeConstants over the scenario before exploring
-     * and install its prune mask in every worker simulator
-     * (Simulator::setStaticPrune; `--static-prune`): gates the static
-     * analysis proves constant under this scenario drop out of the
-     * event-driven worklists, the full sweep, and the fork-time dedup
-     * hashing. Opt-in and bit-identity-neutral: every reported number
-     * -- peak power, peak energy, NPE, envelope, activity sets -- is
-     * identical with and without it (fuzz property 9 / `ulfuzz
-     * --mode lint` enforces this across threads, kernels, and
-     * snapshot modes).
-     */
+    /** No effect. It once installed lint::analyzeConstants's
+     *  constant cones as a simulator prune mask, which never showed
+     *  a measured win; the field stays so existing callers that set
+     *  it by name still compile. */
     bool staticPrune = false;
     /**
      * How each worker drains its pending paths. A worker holds
@@ -186,21 +180,19 @@ struct SymbolicConfig {
      * never build the packed side and wide trees get the lanes.
      * Scalar and Packed pin one kernel and serve as the reference
      * oracles. Under EvalMode::FullSweep an Adaptive exploration
-     * stays scalar, so `--eval-mode full` remains an all-scalar
-     * reference.
+     * stays scalar, so FullSweep remains an all-scalar reference.
      *
      * Backed by the packed kernel's lane-identity invariant, every
      * reported number -- peak power, peak energy, NPE, envelope,
      * activity sets, path/merge/snapshot statistics -- is
      * bit-identical across the three, threads, kernels, snapshot
-     * modes, scenarios, operating-mode schedules and staticPrune
-     * (fuzz `--mode packed-sym` checks Adaptive and Packed against
-     * Scalar). Only the scheduling-dependent statistics (steals,
+     * modes, scenarios and operating-mode schedules (fuzz `--mode
+     * packed-sym` checks Adaptive and Packed against Scalar). Only the scheduling-dependent statistics (steals,
      * per-worker cycles, packed batch/occupancy counters) differ.
      */
     Frontier frontier = Frontier::Adaptive;
-    /** Older spelling of frontier = Packed (`--packed-explore`);
-     *  when set it overrides frontier. */
+    /** Older spelling of frontier = Packed; when set it overrides
+     *  frontier. */
     bool packedExplore = false;
 
     /** The frontier a run uses: packedExplore forces Packed, and an

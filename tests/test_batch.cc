@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 
 #include <unistd.h>
 
@@ -122,6 +123,59 @@ TEST(Batch, DeterministicAcrossWorkerCounts)
     EXPECT_EQ(a.maxPeakPowerProgram, b.maxPeakPowerProgram);
     EXPECT_EQ(a.maxPeakEnergyJ, b.maxPeakEnergyJ);
     EXPECT_EQ(a.maxNpeJPerCycle, b.maxNpeJPerCycle);
+}
+
+/** @p json without the lines that contain @p key. */
+std::string
+dropLines(const std::string &json, const std::string &key)
+{
+    std::istringstream in(json);
+    std::string out, line;
+    while (std::getline(in, line))
+        if (line.find(key) == std::string::npos)
+            out += line + "\n";
+    return out;
+}
+
+// No execution strategy changes a reported byte. On a one-path
+// program (mult) and two forking ones (binSearch, rle), where the
+// default adaptive frontier mixes the scalar and the 64-lane kernel,
+// the --no-timings JSON of the default run must equal the all-packed
+// frontier at jobs 1 and 2, the all-scalar frontier and a run with
+// the no-op staticPrune set, and the full-sweep kernel in every line
+// but the eval_mode header.
+TEST(Batch, StrategiesAreByteIdentical)
+{
+    auto suite = cli::resolvePrograms({"mult", "binSearch", "rle"});
+    auto json = [&](const peak::BatchOptions &o) {
+        peak::BatchReport rep =
+            peak::analyzeBatch(CellLibrary::tsmc65Like(), suite, o);
+        EXPECT_TRUE(rep.ok);
+        return cli::toJson(rep, o, /*include_timings=*/false);
+    };
+    const std::string ref = json(peak::BatchOptions{});
+
+    peak::BatchOptions packed1;
+    packed1.analysis.frontier = sym::Frontier::Packed;
+    EXPECT_EQ(json(packed1), ref) << "packed, jobs 1";
+    peak::BatchOptions packed2 = packed1;
+    packed2.jobs = 2;
+    EXPECT_EQ(json(packed2), ref) << "packed, jobs 2";
+    peak::BatchOptions scalar;
+    scalar.analysis.frontier = sym::Frontier::Scalar;
+    EXPECT_EQ(json(scalar), ref) << "scalar";
+    peak::BatchOptions prune;
+    prune.analysis.staticPrune = true;
+    EXPECT_EQ(json(prune), ref) << "staticPrune";
+
+    peak::BatchOptions full;
+    full.analysis.evalMode = EvalMode::FullSweep;
+    const std::string jf = json(full);
+    EXPECT_NE(jf.find("\"eval_mode\": \"full\""), std::string::npos);
+    EXPECT_EQ(dropLines(jf, "\"eval_mode\""),
+              dropLines(ref, "\"eval_mode\""));
+    EXPECT_EQ(std::count(jf.begin(), jf.end(), '\n'),
+              std::count(ref.begin(), ref.end(), '\n'));
 }
 
 TEST(Batch, SuiteAggregatesAndSizing)
@@ -606,6 +660,23 @@ TEST(Cli, ParseArgs)
     const char *none[] = {"ulpeak"};
     cli::CliOptions o3;
     EXPECT_FALSE(cli::parseArgs(1, none, o3, err));
+
+    // The retired strategy flags are unknown options, so usage errors
+    // (exit 2): --jobs and --threads are the only strategy flags, and
+    // the kernel, snapshot form and frontier keep their defaults.
+    const std::vector<std::vector<const char *>> retired = {
+        {"--static-prune"}, {"--eval-mode", "full"}, {"--packed-explore"}};
+    for (const std::vector<const char *> &flags : retired) {
+        std::vector<const char *> argv{"ulpeak", "mult"};
+        argv.insert(argv.end(), flags.begin(), flags.end());
+        cli::CliOptions ro;
+        EXPECT_FALSE(
+            cli::parseArgs(int(argv.size()), argv.data(), ro, err))
+            << flags[0];
+        EXPECT_EQ(err, std::string("unknown option: ") + flags[0]);
+        EXPECT_EQ(cli::runCli(int(argv.size()), argv.data()), 2)
+            << flags[0];
+    }
 }
 
 // Every engine and batch flag lands in the BatchOptions field it
@@ -630,10 +701,6 @@ TEST(Cli, EngineFlagsReachBatchOptions)
          [](const peak::BatchOptions &b) {
              return b.analysis.freqHz == 8e6;
          }},
-        {{"--eval-mode", "full"},
-         [](const peak::BatchOptions &b) {
-             return b.analysis.evalMode == EvalMode::FullSweep;
-         }},
         {{"--loop-bound", "7"},
          [](const peak::BatchOptions &b) {
              return b.analysis.inputDependentLoopBound == 7;
@@ -641,14 +708,6 @@ TEST(Cli, EngineFlagsReachBatchOptions)
         {{"--max-cycles", "12345"},
          [](const peak::BatchOptions &b) {
              return b.analysis.maxTotalCycles == 12345;
-         }},
-        {{"--static-prune"},
-         [](const peak::BatchOptions &b) {
-             return b.analysis.staticPrune;
-         }},
-        {{"--packed-explore"},
-         [](const peak::BatchOptions &b) {
-             return b.analysis.packedExplore;
          }},
         {{"--windows", "2,16"},
          [](const peak::BatchOptions &b) {

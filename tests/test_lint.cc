@@ -8,10 +8,8 @@
  * flops, hook-driven exclusions), the energy split bookkeeping, and
  * the CLI contract (parse errors, JSON byte-identity across --jobs).
  *
- * The dynamic half of the prune-soundness story -- pruned vs unpruned
- * report bit-identity and concrete validation of every proven
- * constant -- lives in fuzz::staticPruneCheck (tests/test_fuzz_sym.cc
- * and `ulfuzz --mode lint`).
+ * The dynamic half -- concrete validation of every proven constant --
+ * lives in fuzz::constantClaimCheck (`ulfuzz --mode lint`).
  */
 
 #include <gtest/gtest.h>

@@ -9,7 +9,6 @@
 
 #include "bench430/benchmarks.hh"
 #include "hw/builder.hh"
-#include "lint/lint.hh"
 #include "sim/simulator.hh"
 #include "tests/cpu_test_util.hh"
 
@@ -353,46 +352,26 @@ stepXPortLockstep(msp::System &sysEv, msp::System &sysFs,
             << what << " gate " << g << " cycle " << ev.cycle();
 }
 
-TEST(SimulatorKernel, Bench430XPortLockstepWithAndWithoutPrune)
+TEST(SimulatorKernel, Bench430XPortLockstep)
 {
     // The symbolic regime on every bench430 program: per cycle,
     // actual/bound/behavioral energy, the lazily computed module split
-    // and the activity list of the event kernel -- once plain, once
-    // with an engaged static-prune mask -- against the unpruned full
+    // and the activity list of the event kernel against the full
     // sweep.
     msp::System &sysEv = test::sharedSystem();
     msp::System &sysFs = fullSweepTwin();
     const Netlist &nl = sysEv.netlist();
     ASSERT_EQ(nl.numGates(), sysFs.netlist().numGates());
 
-    lint::ConstAnalysisOptions lopts;
-    const msp::CpuHandles &h = sysEv.handles();
-    lopts.portBits.assign(h.portIn.begin(), h.portIn.end());
-    lopts.drivenConstants = {{h.rstn, V4::One}, {h.irq, V4::Zero}};
-    lint::ConstAnalysis ca = lint::analyzeConstants(nl, lopts);
-    auto mask = std::make_shared<const std::vector<uint8_t>>(
-        std::move(ca.pruneMask));
-    ASSERT_GT(ca.prunable, 0u);
-
     for (const bench430::Benchmark &b : bench430::allBenchmarks()) {
         isa::Image img = b.assembleImage();
-        for (bool prune : {false, true}) {
-            std::string what = b.name + (prune ? "/prune" : "/plain");
-            Simulator ev(nl, EvalMode::EventDriven);
-            Simulator fs(sysFs.netlist(), EvalMode::FullSweep);
-            startLockstep(img, sysEv, sysFs, ev, fs);
-            if (prune)
-                ev.setStaticPrune(mask,
-                                  ev.cycle() + 1 + ca.maxPruneDepth);
-            unsigned engaged = 0;
-            for (int c = 0; c < 160 && !sysEv.halted(); ++c) {
-                stepXPortLockstep(sysEv, sysFs, ev, fs, what.c_str());
-                if (HasFatalFailure())
-                    return;
-                engaged += ev.staticPruneActive();
-            }
-            if (prune)
-                EXPECT_GT(engaged, 0u) << what;
+        Simulator ev(nl, EvalMode::EventDriven);
+        Simulator fs(sysFs.netlist(), EvalMode::FullSweep);
+        startLockstep(img, sysEv, sysFs, ev, fs);
+        for (int c = 0; c < 160 && !sysEv.halted(); ++c) {
+            stepXPortLockstep(sysEv, sysFs, ev, fs, b.name.c_str());
+            if (HasFatalFailure())
+                return;
         }
     }
 }

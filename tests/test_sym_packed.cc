@@ -194,12 +194,11 @@ TEST(SymPacked, ScenarioAndModeSchedulePhasesPerLane)
     }
 }
 
-TEST(SymPacked, SnapshotModesAndStaticPruneInterplay)
+TEST(SymPacked, SnapshotModesInterplay)
 {
     // The packed frontier loads lanes from delta-materialized and
-    // full snapshots alike, and static pruning changes the dedup
-    // hash basis but not the numbers -- all four combinations must
-    // agree with the scalar delta baseline.
+    // full snapshots alike: both must agree with the scalar delta
+    // baseline.
     msp::System &sys = test::sharedSystem();
     isa::Image img = isa::assemble(forkySource(10));
 
@@ -209,17 +208,13 @@ TEST(SymPacked, SnapshotModesAndStaticPruneInterplay)
     ASSERT_TRUE(rs.ok) << rs.error;
 
     for (bool fullSnap : {false, true}) {
-        for (bool prune : {false, true}) {
-            peak::Options packed = ref;
-            packed.packedExplore = true;
-            packed.snapshotMode = fullSnap ? sym::SnapshotMode::Full
-                                           : sym::SnapshotMode::Delta;
-            packed.staticPrune = prune;
-            peak::Report rp = peak::analyze(sys, img, packed);
-            SCOPED_TRACE((fullSnap ? "full" : "delta") +
-                         std::string(prune ? "+prune" : ""));
-            expectIdenticalReports(rs, rp);
-        }
+        peak::Options packed = ref;
+        packed.packedExplore = true;
+        packed.snapshotMode = fullSnap ? sym::SnapshotMode::Full
+                                       : sym::SnapshotMode::Delta;
+        peak::Report rp = peak::analyze(sys, img, packed);
+        SCOPED_TRACE(fullSnap ? "full" : "delta");
+        expectIdenticalReports(rs, rp);
     }
 }
 
